@@ -10,8 +10,8 @@ cd "$(dirname "$0")"
 echo "== cargo fmt --check =="
 cargo fmt --check
 
-echo "== cargo clippy (all targets, warnings are errors) =="
-cargo clippy --all-targets --offline -- -D warnings
+echo "== cargo clippy (whole workspace, all targets, warnings are errors) =="
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== tier-1: cargo build --release =="
 cargo build --release --offline
@@ -21,10 +21,11 @@ cargo test -q --offline
 
 # Observability must be optional: with the `trace` feature off, every
 # journal emission site compiles to an inert no-op and the workspace must
-# still build and pass the root suites.
+# still build and pass the root suites. `-p unp` keeps this step on the
+# facade package now that the workspace's default members are every crate.
 echo "== trace feature off: build + test =="
-cargo build --offline --no-default-features
-cargo test -q --offline --no-default-features
+cargo build --offline --no-default-features -p unp
+cargo test -q --offline --no-default-features -p unp
 
 # The two invariants the fast paths stand on, run explicitly (and in
 # release, matching how the artifacts are produced): the zero-copy frame

@@ -2660,19 +2660,12 @@ fn flush_conn_tx(w: &mut World, eng: &mut Eng, h: usize, cid: u32) {
             let Some(conn) = w.hosts[h].conns.get_mut(&cid) else {
                 return;
             };
-            if conn.pending_tx.is_empty() {
+            let take = conn.pending_tx.len().min(conn.tcb.send_space());
+            if take == 0 {
                 break;
             }
-            let chunk: Vec<u8> = conn
-                .pending_tx
-                .iter()
-                .copied()
-                .take(conn.tcb.send_space())
-                .collect();
-            if chunk.is_empty() {
-                break;
-            }
-            match conn.tcb.send(&chunk, now) {
+            let chunk = &conn.pending_tx.make_contiguous()[..take];
+            match conn.tcb.send(chunk, now) {
                 Ok((n, actions)) => {
                     conn.pending_tx.drain(..n);
                     (actions, n > 0)

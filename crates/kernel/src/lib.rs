@@ -360,6 +360,12 @@ impl DemuxStats {
     }
 }
 
+/// Channel bindings held across every entry of a keyed demux table, by a
+/// full walk: the recount the kept sizes are checked against.
+fn bindings_in<K>(table: &HashMap<K, Vec<u32>>) -> usize {
+    table.values().map(Vec::len).sum()
+}
+
 /// The network I/O module for one device. See module docs.
 ///
 /// Software demultiplexing is three-tiered. At channel installation each
@@ -396,6 +402,11 @@ pub struct NetIoModule {
     /// Wildcard tier: 3-tuple → ids of fully-wildcard channels distilled
     /// to that key, ascending.
     listen_table: HashMap<ListenKey, Vec<u32>>,
+    /// Bindings across all `flow_table` entries, kept at insert and
+    /// remove so the size gauge costs no walk over the table.
+    flow_entries: usize,
+    /// Bindings across all `listen_table` entries, kept likewise.
+    listen_entries: usize,
     /// Link-header length the keyed tables extract keys with, fixed by the
     /// first distillable channel (one module serves one device, so all its
     /// channels share framing; a mismatched spec stays on the scan tier).
@@ -453,6 +464,8 @@ impl NetIoModule {
             ring_index: HashMap::new(),
             flow_table: HashMap::new(),
             listen_table: HashMap::new(),
+            flow_entries: 0,
+            listen_entries: 0,
             flow_lhl: None,
             scan_order: Vec::new(),
             instr_fen: InstrFenwick::default(),
@@ -524,6 +537,7 @@ impl NetIoModule {
         let slot = if let Some(key) = spec.distill() {
             if *self.flow_lhl.get_or_insert(spec.link_header_len) == spec.link_header_len {
                 self.flow_table.entry(key).or_default().push(id.0);
+                self.flow_entries += 1;
                 FlowSlot::Exact(key)
             } else {
                 FlowSlot::Scan
@@ -531,6 +545,7 @@ impl NetIoModule {
         } else if let Some(key) = spec.distill_listen() {
             if *self.flow_lhl.get_or_insert(spec.link_header_len) == spec.link_header_len {
                 self.listen_table.entry(key).or_default().push(id.0);
+                self.listen_entries += 1;
                 FlowSlot::Listen(key)
             } else {
                 FlowSlot::Scan
@@ -608,12 +623,17 @@ impl NetIoModule {
 
     /// True when the incrementally-maintained caches equal a from-scratch
     /// rebuild — the invariant [`NetIoModule::activate`] and
-    /// [`NetIoModule::destroy_channel`] preserve. Exposed for the
-    /// differential tests; debug builds also assert it after each churn
-    /// event on small populations.
+    /// [`NetIoModule::destroy_channel`] preserve — and the keyed-table
+    /// sizes equal a recount of both tables. Exposed for the differential
+    /// tests; debug builds also assert it after each churn event on small
+    /// populations.
     pub fn caches_match_rebuild(&self) -> bool {
         let (fen, total, residual) = self.compute_caches();
-        fen == self.instr_fen && total == self.total_active_instrs && residual == self.residual
+        fen == self.instr_fen
+            && total == self.total_active_instrs
+            && residual == self.residual
+            && self.flow_entries == bindings_in(&self.flow_table)
+            && self.listen_entries == bindings_in(&self.listen_table)
     }
 
     /// Debug-build churn validation. Capped to small populations because
@@ -663,6 +683,7 @@ impl NetIoModule {
                 if let Some(ids) = self.flow_table.get_mut(&key) {
                     if let Ok(pos) = ids.binary_search(&id.0) {
                         ids.remove(pos);
+                        self.flow_entries -= 1;
                     }
                     if ids.is_empty() {
                         self.flow_table.remove(&key);
@@ -673,6 +694,7 @@ impl NetIoModule {
                 if let Some(ids) = self.listen_table.get_mut(&key) {
                     if let Ok(pos) = ids.binary_search(&id.0) {
                         ids.remove(pos);
+                        self.listen_entries -= 1;
                     }
                     if ids.is_empty() {
                         self.listen_table.remove(&key);
@@ -1168,14 +1190,17 @@ impl NetIoModule {
         self.demux_stats
     }
 
-    /// Number of live flow-table entries (exact-match distilled bindings).
+    /// Number of live flow-table entries (exact-match distilled bindings),
+    /// counting each binding under a duplicated key. O(1): the count is
+    /// kept at insert and remove.
     pub fn flow_table_len(&self) -> usize {
-        self.flow_table.values().map(Vec::len).sum()
+        self.flow_entries
     }
 
-    /// Number of live listen-table entries (wildcard distilled bindings).
+    /// Number of live listen-table entries (wildcard distilled bindings),
+    /// counted and kept like [`NetIoModule::flow_table_len`].
     pub fn listen_table_len(&self) -> usize {
-        self.listen_table.values().map(Vec::len).sum()
+        self.listen_entries
     }
 
     /// Approximate heap footprint, in bytes, of the demultiplexing
@@ -1855,41 +1880,61 @@ mod tests {
     fn incremental_caches_match_rebuild_through_churn() {
         // The oracle invariant behind the incremental maintenance: after
         // any interleaving of create/activate/destroy, the patched-in-place
-        // caches equal a from-scratch rebuild, and classification results
-        // are unchanged by forcing that rebuild.
+        // caches and table sizes equal a from-scratch rebuild, and
+        // classification results are unchanged by forcing that rebuild.
+        // The population repeats exact and listen keys, and includes
+        // AN1-framed exact specs that the Ethernet-pinned module keeps on
+        // the scan tier.
         let mut m = NetIoModule::new();
         let mut ids = Vec::new();
-        for i in 0..24u16 {
-            let s = match i % 3 {
+        let check = |m: &NetIoModule, step: &str| {
+            assert!(m.caches_match_rebuild(), "{step}");
+            assert_eq!(
+                (m.flow_table_len(), m.listen_table_len()),
+                (bindings_in(&m.flow_table), bindings_in(&m.listen_table)),
+                "{step}"
+            );
+        };
+        for i in 0..32u16 {
+            let s = match i % 4 {
                 0 => spec(),
-                1 => wildcard_spec(80 + i),
-                _ => DemuxSpec {
+                1 => wildcard_spec(80 + i % 3),
+                2 => DemuxSpec {
                     remote_port: None,
+                    ..spec()
+                },
+                _ => DemuxSpec {
+                    link_header_len: 16,
                     ..spec()
                 },
             };
             let (id, ..) = m.create_channel(OwnerTag(1), &s, template(), 8, 2048);
-            if i % 4 != 3 {
+            check(&m, &format!("after create {i}"));
+            if i % 5 != 3 {
                 m.activate(id);
+                check(&m, &format!("after activate {i}"));
             }
             ids.push(id);
-            assert!(m.caches_match_rebuild(), "after install {i}");
         }
+        assert_eq!((m.flow_table_len(), m.listen_table_len()), (8, 8));
         let frame = tcp_frame(THEM, US, 5000, 80);
         for (i, id) in ids.iter().enumerate() {
-            if i % 2 == 0 {
+            if i % 2 == 0 || i % 7 == 1 {
                 assert!(m.destroy_channel(*id, OwnerTag(1)));
-                assert!(m.caches_match_rebuild(), "after destroy {i}");
+                check(&m, &format!("after destroy {i}"));
                 let after = m.classify(&frame);
                 m.force_rebuild_active();
                 assert_eq!(m.classify(&frame), after, "rebuild must be a no-op");
             }
         }
+        // Destroying an already-destroyed channel changes nothing.
+        assert!(!m.destroy_channel(ids[0], OwnerTag(1)));
+        check(&m, "after repeated destroy");
         // Re-activation of a live channel is idempotent.
         for id in &ids[1..2] {
             m.activate(*id);
             m.activate(*id);
-            assert!(m.caches_match_rebuild());
+            check(&m, "after re-activation");
         }
     }
 

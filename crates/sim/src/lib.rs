@@ -20,7 +20,7 @@ pub use costs::{CostModel, DemuxPath, LinkParams};
 pub use cpu::Cpu;
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// Simulated time in nanoseconds since world start.
 pub type Nanos = u64;
@@ -49,21 +49,49 @@ pub fn reset_events_executed() {
     EVENTS_EXECUTED.with(|c| c.set(0));
 }
 
-/// Identifier of a scheduled event, usable for cancellation.
+/// Identifier of a scheduled event, usable for cancellation: the slab slot
+/// the event occupies and the schedule sequence number it was given. A
+/// slot is reused once its event runs or is cancelled, so the sequence
+/// number tells a stale id from the slot's current event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId(u64);
+pub struct EventId {
+    slot: u32,
+    seq: u64,
+}
 
 type EventFn<W> = Box<dyn FnOnce(&mut W, &mut Engine<W>)>;
+
+/// One slab slot: the sequence number of the event it last held, and that
+/// event's closure while it is still pending.
+struct Slot<W> {
+    seq: u64,
+    f: Option<EventFn<W>>,
+}
+
+impl<W> Slot<W> {
+    /// True while the event scheduled with `seq` is pending in this slot.
+    fn holds(&self, seq: u64) -> bool {
+        self.seq == seq && self.f.is_some()
+    }
+}
 
 /// A discrete-event engine generic over the world type `W`.
 ///
 /// Closures scheduled on the engine receive `(&mut W, &mut Engine<W>)` so
 /// they can mutate the world and schedule follow-up events.
+///
+/// Pending closures live in a slab indexed by [`EventId`] with a free list
+/// of vacated slots, so scheduling, cancelling and running an event each
+/// cost one slot access plus the heap operation, with no hashing.
 pub struct Engine<W> {
     now: Nanos,
     seq: u64,
-    heap: BinaryHeap<Reverse<(Nanos, u64)>>,
-    pending: HashMap<u64, EventFn<W>>,
+    /// `(time, seq, slot)`: ordered by time, then schedule order.
+    heap: BinaryHeap<Reverse<(Nanos, u64, u32)>>,
+    slots: Vec<Slot<W>>,
+    /// Slots whose event has run or been cancelled, ready for reuse;
+    /// every other slot holds a pending event.
+    free: Vec<u32>,
     executed: u64,
     /// Heap entries whose event has been cancelled but not yet popped.
     tombstones: usize,
@@ -82,7 +110,8 @@ impl<W> Engine<W> {
             now: 0,
             seq: 0,
             heap: BinaryHeap::new(),
-            pending: HashMap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
             executed: 0,
             tombstones: 0,
         }
@@ -100,7 +129,7 @@ impl<W> Engine<W> {
 
     /// Number of events currently scheduled.
     pub fn pending(&self) -> usize {
-        self.pending.len()
+        self.slots.len() - self.free.len()
     }
 
     /// Number of entries in the internal time heap, live and tombstoned.
@@ -116,11 +145,22 @@ impl<W> Engine<W> {
         F: FnOnce(&mut W, &mut Engine<W>) + 'static,
     {
         let time = time.max(self.now);
-        let id = self.seq;
+        let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Reverse((time, id)));
-        self.pending.insert(id, Box::new(f));
-        EventId(id)
+        let f: Option<EventFn<W>> = Some(Box::new(f));
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Slot { seq, f };
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("fewer than 2^32 pending events");
+                self.slots.push(Slot { seq, f });
+                slot
+            }
+        };
+        self.heap.push(Reverse((time, seq, slot)));
+        EventId { slot, seq }
     }
 
     /// Schedules `f` to run `delay` after the current time.
@@ -131,16 +171,31 @@ impl<W> Engine<W> {
         self.at(self.now + delay, f)
     }
 
+    /// Takes the closure of the event `(slot, seq)` out of its slot and
+    /// frees the slot, if that event is still pending there.
+    fn take(&mut self, slot: u32, seq: u64) -> Option<EventFn<W>> {
+        let s = self.slots.get_mut(slot as usize)?;
+        if s.seq != seq {
+            return None;
+        }
+        let f = s.f.take()?;
+        self.free.push(slot);
+        Some(f)
+    }
+
     /// Cancels a scheduled event. Returns true if it had not yet run.
+    /// An id whose event already ran or was cancelled returns false, even
+    /// after its slot holds a newer event, which it leaves alone.
     ///
-    /// Cancellation is a tombstone: the closure is dropped immediately but
-    /// the `(time, id)` entry stays in the heap until popped. When
-    /// tombstones outnumber live events the heap is compacted in place, so
-    /// a workload that schedules and cancels many timers (e.g. TCP
-    /// retransmission timers answered by ACKs) keeps the heap at O(live)
-    /// rather than O(ever scheduled).
+    /// Cancellation is a tombstone: the closure is dropped and its slot
+    /// freed immediately, but the `(time, seq, slot)` entry stays in the
+    /// heap until popped, when the slot's sequence number no longer
+    /// matches. When tombstones outnumber live events the heap is
+    /// compacted in place, so a workload that schedules and cancels many
+    /// timers (e.g. TCP retransmission timers answered by ACKs) keeps the
+    /// heap at O(live) rather than O(ever scheduled).
     pub fn cancel(&mut self, id: EventId) -> bool {
-        let cancelled = self.pending.remove(&id.0).is_some();
+        let cancelled = self.take(id.slot, id.seq).is_some();
         if cancelled {
             self.tombstones += 1;
             self.maybe_compact();
@@ -148,22 +203,23 @@ impl<W> Engine<W> {
         cancelled
     }
 
-    /// Rebuilds the heap without tombstoned entries once they dominate.
-    /// The `> 64` floor keeps small heaps from compacting on every other
-    /// cancel, where the O(n) rebuild would cost more than the garbage.
+    /// Rebuilds the heap without tombstoned entries (those whose slot no
+    /// longer holds their event) once they dominate. The `> 64` floor
+    /// keeps small heaps from compacting on every other cancel, where the
+    /// O(n) rebuild would cost more than the garbage.
     fn maybe_compact(&mut self) {
-        if self.tombstones > 64 && self.tombstones > self.pending.len() {
-            let pending = &self.pending;
+        if self.tombstones > 64 && self.tombstones > self.pending() {
+            let slots = &self.slots;
             self.heap
-                .retain(|Reverse((_, id))| pending.contains_key(id));
+                .retain(|&Reverse((_, seq, slot))| slots[slot as usize].holds(seq));
             self.tombstones = 0;
         }
     }
 
     /// Runs the next event, if any. Returns false when the queue is empty.
     pub fn step(&mut self, world: &mut W) -> bool {
-        while let Some(Reverse((time, id))) = self.heap.pop() {
-            if let Some(f) = self.pending.remove(&id) {
+        while let Some(Reverse((time, seq, slot))) = self.heap.pop() {
+            if let Some(f) = self.take(slot, seq) {
                 self.now = time;
                 unp_trace::set_time(time);
                 self.executed += 1;
@@ -195,9 +251,9 @@ impl<W> Engine<W> {
             // Peek at the next *live* event time.
             let next = loop {
                 match self.heap.peek() {
-                    Some(Reverse((t, id))) => {
-                        if self.pending.contains_key(id) {
-                            break Some(*t);
+                    Some(&Reverse((t, seq, slot))) => {
+                        if self.slots[slot as usize].holds(seq) {
+                            break Some(t);
                         }
                         self.heap.pop();
                         self.tombstones = self.tombstones.saturating_sub(1);
@@ -371,6 +427,47 @@ mod tests {
             expect,
             "live events must be unaffected by compaction"
         );
+    }
+
+    #[test]
+    fn stale_ids_never_cancel_a_reused_slot() {
+        let mut eng: Engine<World> = Engine::new();
+        let mut w = World::default();
+        // A cancelled id: its slot is reused by the next schedule.
+        let cancelled = eng.at(10, |w, _| w.log.push((10, "cancelled")));
+        assert!(eng.cancel(cancelled));
+        let reuse1 = eng.at(20, |w, _| w.log.push((20, "reuse1")));
+        assert_eq!(reuse1.slot, cancelled.slot, "slot must be recycled");
+        assert!(!eng.cancel(cancelled), "stale cancelled id");
+        assert_eq!(eng.pending(), 1);
+        // A fired id: its slot is reused by an event scheduled afterwards.
+        eng.run_until(&mut w, 20);
+        let reuse2 = eng.at(30, |w, _| w.log.push((30, "reuse2")));
+        assert_eq!(reuse2.slot, reuse1.slot, "slot must be recycled");
+        assert!(!eng.cancel(reuse1), "stale fired id");
+        assert!(eng.run(&mut w, 10));
+        assert_eq!(w.log, vec![(20, "reuse1"), (30, "reuse2")]);
+        assert!(!eng.cancel(reuse2));
+    }
+
+    #[test]
+    fn equal_times_stay_fifo_across_slot_reuse() {
+        let mut eng: Engine<World> = Engine::new();
+        let mut w = World::default();
+        // Fill slots 0..4, free them out of order, then schedule at one
+        // time: the recycled slots come back in a different order than the
+        // events were scheduled, and the events must still run FIFO.
+        let ids: Vec<_> = (0..4).map(|_| eng.at(5, |_, _| {})).collect();
+        for &i in &[1, 3, 0, 2] {
+            assert!(eng.cancel(ids[i]));
+        }
+        let names = ["a", "b", "c", "d", "e", "f"];
+        for name in names {
+            eng.at(50, move |w, _| w.log.push((50, name)));
+        }
+        assert!(eng.run(&mut w, 100));
+        let order: Vec<_> = w.log.iter().map(|&(_, n)| n).collect();
+        assert_eq!(order, names);
     }
 
     #[test]

@@ -190,13 +190,26 @@ impl ListenTcb {
         tcb.emit_segment(
             TcpFlags::syn_ack(),
             tcb.iss,
-            &[],
+            Vec::new(),
             Some(tcb.cfg.mss_local as u16),
             &mut out,
         );
         tcb.arm_timer(TcpTimer::Retransmit, now + tcb.rtt.rto(), &mut out);
         Some((tcb, out))
     }
+}
+
+/// Copies the bytes of `buf` from `off` to `off + len` (clamped to its
+/// length) with one slice copy per contiguous half of the ring.
+fn copy_out(buf: &VecDeque<u8>, off: usize, len: usize) -> Vec<u8> {
+    let (head, tail) = buf.as_slices();
+    let split = head.len();
+    let end = off.saturating_add(len).min(buf.len());
+    let start = off.min(end);
+    let mut out = Vec::with_capacity(end - start);
+    out.extend_from_slice(&head[start.min(split)..end.min(split)]);
+    out.extend_from_slice(&tail[start.max(split) - split..end.max(split) - split]);
+    out
 }
 
 /// The transmission control block. See module docs.
@@ -339,7 +352,7 @@ impl Tcb {
         tcb.snd_nxt = tcb.iss + 1;
         let mut out = Vec::new();
         let mss = Some(tcb.cfg.mss_local as u16);
-        tcb.emit_segment(TcpFlags::SYN, tcb.iss, &[], mss, &mut out);
+        tcb.emit_segment(TcpFlags::SYN, tcb.iss, Vec::new(), mss, &mut out);
         tcb.arm_timer(TcpTimer::Retransmit, now + tcb.rtt.rto(), &mut out);
         (tcb, out)
     }
@@ -436,7 +449,7 @@ impl Tcb {
         &mut self,
         flags: TcpFlags,
         seq: SeqNum,
-        payload: &[u8],
+        payload: Vec<u8>,
         mss: Option<u16>,
         out: &mut Vec<TcpAction>,
     ) {
@@ -452,14 +465,14 @@ impl Tcb {
             mss,
         };
         self.stats.segs_out += 1;
-        out.push(TcpAction::Send(repr, payload.to_vec()));
+        out.push(TcpAction::Send(repr, payload));
     }
 
     fn emit_ack(&mut self, out: &mut Vec<TcpAction>) {
         self.ack_pending = 0;
         self.cancel_timer(TcpTimer::DelayedAck, out);
         let seq = self.snd_nxt;
-        self.emit_segment(TcpFlags::ack(), seq, &[], None, out);
+        self.emit_segment(TcpFlags::ack(), seq, Vec::new(), None, out);
     }
 
     /// Builds an RST in response to a segment that arrived for a dead or
@@ -551,7 +564,8 @@ impl Tcb {
     /// (receiver-side silly-window avoidance).
     pub fn recv(&mut self, max: usize, _now: Nanos) -> (Vec<u8>, Vec<TcpAction>) {
         let take = max.min(self.recv_buf.len());
-        let data: Vec<u8> = self.recv_buf.drain(..take).collect();
+        let data = copy_out(&self.recv_buf, 0, take);
+        self.recv_buf.drain(..take);
         let mut out = Vec::new();
         if !data.is_empty() && self.state.is_synchronized() && self.state != State::TimeWait {
             let new_edge = self.rcv_nxt + self.recv_window();
@@ -608,7 +622,7 @@ impl Tcb {
                     ..TcpFlags::default()
                 },
                 seq,
-                &[],
+                Vec::new(),
                 None,
                 &mut out,
             );
@@ -689,13 +703,7 @@ impl Tcb {
                     len = len.min(usable);
                 }
                 let seq = self.snd_nxt;
-                let payload: Vec<u8> = self
-                    .send_buf
-                    .iter()
-                    .skip(in_flight)
-                    .take(len)
-                    .copied()
-                    .collect();
+                let payload = copy_out(&self.send_buf, in_flight, len);
                 self.snd_nxt += len as u32;
                 let push = in_flight + len == self.send_buf.len();
                 let flags = TcpFlags {
@@ -710,7 +718,7 @@ impl Tcb {
                 }
                 self.ack_pending = 0;
                 self.cancel_timer(TcpTimer::DelayedAck, out);
-                self.emit_segment(flags, seq, &payload, None, out);
+                self.emit_segment(flags, seq, payload, None, out);
             }
         }
         // FIN transmission once the buffer is drained.
@@ -727,7 +735,7 @@ impl Tcb {
                         ..TcpFlags::default()
                     },
                     seq,
-                    &[],
+                    Vec::new(),
                     None,
                     out,
                 );
@@ -753,13 +761,13 @@ impl Tcb {
             State::SynSent => {
                 let mss = Some(self.cfg.mss_local as u16);
                 let seq = self.iss;
-                self.emit_segment(TcpFlags::SYN, seq, &[], mss, out);
+                self.emit_segment(TcpFlags::SYN, seq, Vec::new(), mss, out);
                 return;
             }
             State::SynReceived => {
                 let mss = Some(self.cfg.mss_local as u16);
                 let seq = self.iss;
-                self.emit_segment(TcpFlags::syn_ack(), seq, &[], mss, out);
+                self.emit_segment(TcpFlags::syn_ack(), seq, Vec::new(), mss, out);
                 return;
             }
             _ => {}
@@ -768,7 +776,7 @@ impl Tcb {
         self.rtt_probe = None;
         if !self.send_buf.is_empty() {
             let len = self.send_buf.len().min(self.snd_mss);
-            let payload: Vec<u8> = self.send_buf.iter().take(len).copied().collect();
+            let payload = copy_out(&self.send_buf, 0, len);
             self.stats.bytes_rexmit += len as u64;
             self.stats.rexmits += 1;
             unp_trace::emit(None, || unp_trace::Event::TcpRexmit {
@@ -796,7 +804,7 @@ impl Tcb {
                     ..TcpFlags::default()
                 },
                 seq,
-                &payload,
+                payload,
                 None,
                 out,
             );
@@ -809,7 +817,7 @@ impl Tcb {
                         ..TcpFlags::default()
                     },
                     fin_seq,
-                    &[],
+                    Vec::new(),
                     None,
                     out,
                 );
@@ -849,7 +857,7 @@ impl Tcb {
                                 ..TcpFlags::default()
                             },
                             seq,
-                            &[],
+                            Vec::new(),
                             None,
                             &mut out,
                         );
@@ -888,13 +896,7 @@ impl Tcb {
                     if unsent > 0 {
                         // Probe with one byte beyond the window.
                         self.stats.probes += 1;
-                        let payload: Vec<u8> = self
-                            .send_buf
-                            .iter()
-                            .skip(in_flight)
-                            .take(1)
-                            .copied()
-                            .collect();
+                        let payload = copy_out(&self.send_buf, in_flight, 1);
                         let seq = self.snd_nxt;
                         self.snd_nxt += 1;
                         self.emit_segment(
@@ -903,7 +905,7 @@ impl Tcb {
                                 ..TcpFlags::default()
                             },
                             seq,
-                            &payload,
+                            payload,
                             None,
                             &mut out,
                         );
@@ -990,7 +992,7 @@ impl Tcb {
                 self.snd_una = self.iss;
                 let mss = Some(self.cfg.mss_local as u16);
                 let seq = self.iss;
-                self.emit_segment(TcpFlags::syn_ack(), seq, &[], mss, out);
+                self.emit_segment(TcpFlags::syn_ack(), seq, Vec::new(), mss, out);
             }
         }
     }
@@ -1295,5 +1297,25 @@ impl Tcb {
         }
         // else: FIN beyond a data gap; it will be consumed when the gap
         // fills (the peer will retransmit).
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn copy_out_matches_a_bytewise_copy_across_the_ring_seam() {
+        let mut buf: VecDeque<u8> = VecDeque::with_capacity(16);
+        buf.extend(0..12u8);
+        buf.drain(..9);
+        buf.extend(12..24u8); // wraps: the bytes sit in two slices
+        assert!(!buf.as_slices().1.is_empty());
+        for off in 0..=buf.len() + 2 {
+            for len in 0..=buf.len() + 2 {
+                let bytewise: Vec<u8> = buf.iter().skip(off).take(len).copied().collect();
+                assert_eq!(copy_out(&buf, off, len), bytewise, "off {off} len {len}");
+            }
+        }
     }
 }

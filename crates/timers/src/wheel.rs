@@ -3,11 +3,17 @@
 //!
 //! Four levels of 64 slots each, with a ~1 ms base tick (2²⁰ ns), cover
 //! deadlines up to ≈ 4.9 hours; anything farther sits in an overflow list
-//! that is drained as the horizon advances. Start and stop are O(1);
+//! that is drained as the horizon advances. Slot placement is O(1), and
 //! advancing performs amortized O(1) work per tick plus O(k) for the k
-//! timers fired or cascaded.
+//! timers fired or cascaded. Event loops ask for
+//! [`TimerService::next_deadline`] after every timer operation to
+//! reschedule their wakeup, so a min-heap of `(deadline, id)` beside the
+//! slots answers it in O(1): start pushes in O(log n), and stop and
+//! advance pop stopped or fired timers only when they reach the top,
+//! sweeping the rest once they outnumber the pending ones.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 use crate::{Nanos, TimerId, TimerService};
 
@@ -33,6 +39,11 @@ pub struct TimerWheel<T> {
     /// Entries too far out for the top level.
     overflow: Vec<u64>,
     entries: HashMap<u64, Entry<T>>,
+    /// Min-heap of `(deadline, id)` over the pending entries. Stopping a
+    /// timer leaves its pair behind as stale, but the top is always
+    /// pending, so it is the earliest deadline; stale pairs are popped when
+    /// they surface and swept once they outnumber the pending ones.
+    order: BinaryHeap<Reverse<(Nanos, u64)>>,
     /// Current time, in ticks, already processed.
     current_tick: u64,
     next_id: u64,
@@ -48,6 +59,7 @@ impl<T> TimerWheel<T> {
                 .collect(),
             overflow: Vec::new(),
             entries: HashMap::new(),
+            order: BinaryHeap::new(),
             current_tick: start >> TICK_SHIFT,
             next_id: 0,
             next_seq: 0,
@@ -57,6 +69,24 @@ impl<T> TimerWheel<T> {
     /// Ticks covered by level `l` (one slot's span is `SLOTS^l` ticks).
     fn level_span_ticks(l: usize) -> u64 {
         1u64 << (SLOT_SHIFT * (l as u32 + 1))
+    }
+
+    /// Restores the invariant that the top of `order` is pending after
+    /// entries were removed, and sweeps the stale pairs once they
+    /// outnumber the pending ones (ids are never reused, so a pair is
+    /// stale exactly when its id has no entry).
+    fn trim_order(&mut self) {
+        while let Some(&Reverse((_, id))) = self.order.peek() {
+            if self.entries.contains_key(&id) {
+                break;
+            }
+            self.order.pop();
+        }
+        if self.order.len() > 2 * self.entries.len() + 64 {
+            let entries = &self.entries;
+            self.order
+                .retain(|Reverse((_, id))| entries.contains_key(id));
+        }
     }
 
     /// Places an entry id into the right slot for its deadline.
@@ -89,13 +119,16 @@ impl<T> TimerService<T> for TimerWheel<T> {
                 token,
             },
         );
+        self.order.push(Reverse((deadline, id)));
         self.place(id);
         TimerId(id)
     }
 
     fn stop(&mut self, id: TimerId) -> Option<T> {
         // Lazy removal: the slot entry becomes a dead id skipped later.
-        self.entries.remove(&id.0).map(|e| e.token)
+        let e = self.entries.remove(&id.0)?;
+        self.trim_order();
+        Some(e.token)
     }
 
     fn advance(&mut self, now: Nanos, fired: &mut Vec<T>) {
@@ -166,11 +199,11 @@ impl<T> TimerService<T> for TimerWheel<T> {
                 fired.push(e.token);
             }
         }
+        self.trim_order();
     }
 
     fn next_deadline(&self) -> Option<Nanos> {
-        // O(n) scan; used by event loops that only need it occasionally.
-        self.entries.values().map(|e| e.deadline).min()
+        self.order.peek().map(|&Reverse((deadline, _))| deadline)
     }
 
     fn pending(&self) -> usize {
@@ -269,5 +302,57 @@ mod tests {
         let mut fired = Vec::new();
         w.advance(100 << TICK_SHIFT, &mut fired);
         assert_eq!(fired, vec![1]);
+    }
+
+    #[test]
+    fn next_deadline_tracks_stops_ties_and_partial_ticks() {
+        let tick = 1u64 << TICK_SHIFT;
+        let mut w: TimerWheel<&str> = TimerWheel::new(0);
+        let a = w.start(5 * tick, "a");
+        let b = w.start(5 * tick, "b"); // tied with `a`
+        w.start(5 * tick + 10, "c"); // same tick, later sub-tick deadline
+        w.start(9 * tick, "d");
+        assert_eq!(w.next_deadline(), Some(5 * tick));
+        // Stopping one of two tied earliest timers keeps the deadline.
+        assert_eq!(w.stop(a), Some("a"));
+        assert_eq!(w.next_deadline(), Some(5 * tick));
+        // Stopping the last timer at the earliest deadline moves it on.
+        assert_eq!(w.stop(b), Some("b"));
+        assert_eq!(w.next_deadline(), Some(5 * tick + 10));
+        let b2 = w.start(5 * tick + 5, "b2");
+        assert_eq!(w.next_deadline(), Some(5 * tick + 5));
+        // A partial-tick advance fires only the sub-tick deadlines `<= now`
+        // and leaves the rest of the slot as the next deadline.
+        let mut fired = Vec::new();
+        w.advance(5 * tick + 7, &mut fired);
+        assert_eq!(fired, vec!["b2"]);
+        assert_eq!(w.stop(b2), None);
+        assert_eq!(w.next_deadline(), Some(5 * tick + 10));
+        w.advance(5 * tick + 10, &mut fired);
+        assert_eq!(fired, vec!["b2", "c"]);
+        assert_eq!(w.next_deadline(), Some(9 * tick));
+        w.advance(9 * tick, &mut fired);
+        assert_eq!(w.next_deadline(), None);
+        assert_eq!(w.pending(), 0);
+    }
+
+    #[test]
+    fn sweeping_stopped_timers_keeps_the_pending_ones() {
+        // Stop every timer but each tenth, latest first, so the stopped
+        // ones never reach the heap top and pile up until swept.
+        let mut w: TimerWheel<u64> = TimerWheel::new(0);
+        let ids: Vec<_> = (0..300u64).map(|i| w.start((i + 1) * 1_000, i)).collect();
+        for (i, id) in ids.iter().enumerate().rev() {
+            if i % 10 != 0 {
+                assert_eq!(w.stop(*id), Some(i as u64));
+            }
+        }
+        assert!(w.order.len() < 300, "stopped timers were never swept");
+        assert_eq!(w.pending(), 30);
+        assert_eq!(w.next_deadline(), Some(1_000));
+        let mut fired = Vec::new();
+        w.advance(300_000, &mut fired);
+        assert_eq!(fired, (0..300).step_by(10).collect::<Vec<u64>>());
+        assert_eq!(w.next_deadline(), None);
     }
 }

@@ -41,7 +41,7 @@
 use crate::stream::{self, FlightRecorder, Observer};
 use crate::{Dir, Event, FaultKind, Nanos, PathKind, ReclaimKind, Record, RexmitReason, TcpFsm};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Multiply-rotate hasher for the monitor's small fixed-size keys: the
 /// checkers probe these maps on every emitted record, where SipHash's
@@ -235,14 +235,42 @@ struct PoolState {
 /// endpoint. The remote IP disambiguates clients on different hosts that
 /// picked the same ephemeral port — with ports alone their FSM edges and
 /// ACK streams would interleave under one key and false-flag.
-type ConnKey = (Option<u16>, u16, u16, [u8; 4]);
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct ConnKey {
+    host: Option<u16>,
+    lp: u16,
+    rp: u16,
+    ip: [u8; 4],
+}
+
+impl Hash for ConnKey {
+    /// Folds the key into one word, so a probe costs one hasher round
+    /// instead of one per field (and per address byte). Equality still
+    /// compares every field. The hasher's single multiply carries low
+    /// bits upward only, so the word is premixed and its high half folded
+    /// down: the low bits the table indexes by then depend on every field.
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        let host = self.host.map_or(0, |x| u64::from(x) + 1);
+        let word = u64::from(self.lp)
+            | (u64::from(self.rp) << 16)
+            | (u64::from(u32::from_be_bytes(self.ip)) << 32);
+        let mixed = (word ^ (host << 40)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        h.write_u64(mixed ^ (mixed >> 32));
+    }
+}
+
+/// (host, channel) packed losslessly into one word, hashed in one round.
+fn ring_key(host: Option<u16>, channel: u32) -> u64 {
+    (host.map_or(0, |h| u64::from(h) + 1) << 32) | u64::from(channel)
+}
 
 /// The online conformance monitor. Attach with [`crate::attach`]; detach
 /// with [`crate::detach_as::<Monitor>`] to harvest violations, checker
 /// stats, and the frozen postmortem.
 pub struct Monitor {
     conns: FxMap<ConnKey, ConnState>,
-    rings: FxMap<(Option<u16>, u32), RingState>,
+    /// Keyed by [`ring_key`].
+    rings: FxMap<u64, RingState>,
     pool: PoolState,
     /// Matched classifies awaiting their adjacent ring placement, one
     /// live entry per host at most — a vec so the per-record fast path
@@ -354,7 +382,7 @@ impl Monitor {
     pub fn memory_bytes(&self) -> u64 {
         use std::mem::size_of;
         let conns = self.conns.len() * (size_of::<ConnKey>() + size_of::<ConnState>());
-        let rings = self.rings.len() * (size_of::<(Option<u16>, u32)>() + size_of::<RingState>());
+        let rings = self.rings.len() * (size_of::<u64>() + size_of::<RingState>());
         let demux =
             self.pending_demux.len() * (size_of::<Option<u16>>() + size_of::<Option<u64>>());
         let viols: usize = self
@@ -476,7 +504,7 @@ impl Monitor {
                         ViolationKind::TcpAckRegression,
                         format!(
                             "tx ack {ack} regressed below {p} (lp={} rp={})",
-                            key.1, key.2
+                            key.lp, key.rp
                         ),
                     );
                 }
@@ -558,7 +586,7 @@ impl Monitor {
                         ViolationKind::RexmitUnjustified,
                         format!(
                             "fast retransmit after {} duplicate acks (lp={} rp={})",
-                            st.dup_acks, key.1, key.2
+                            st.dup_acks, key.lp, key.rp
                         ),
                     );
                 }
@@ -576,7 +604,7 @@ impl Monitor {
                         ViolationKind::RexmitUnjustified,
                         format!(
                             "rto retransmit with no unacked data (lp={} rp={})",
-                            key.1, key.2
+                            key.lp, key.rp
                         ),
                     );
                 }
@@ -586,8 +614,7 @@ impl Monitor {
 
     fn on_ring_enqueue(&mut self, rec: &Record, channel: u32, depth: u32) {
         self.checked.ring_events += 1;
-        let key = (rec.host, channel);
-        let st = self.rings.entry(key).or_default();
+        let st = self.rings.entry(ring_key(rec.host, channel)).or_default();
         let seeded = st.seeded;
         let want = st.resident + 1;
         st.seeded = true;
@@ -604,8 +631,7 @@ impl Monitor {
 
     fn on_wakeup(&mut self, rec: &Record, channel: u32, frames: u32) {
         self.checked.ring_events += 1;
-        let key = (rec.host, channel);
-        let st = self.rings.entry(key).or_default();
+        let st = self.rings.entry(ring_key(rec.host, channel)).or_default();
         let over = st.seeded && u64::from(frames) > st.resident;
         let resident = st.resident;
         st.seeded = true;
@@ -702,7 +728,12 @@ impl Observer for Monitor {
                 payload,
                 ..
             } => {
-                let key = (rec.host, *local_port, *remote_port, *remote_ip);
+                let key = ConnKey {
+                    host: rec.host,
+                    lp: *local_port,
+                    rp: *remote_port,
+                    ip: *remote_ip,
+                };
                 self.on_tcp_segment(rec, *dir, key, *seq, *ack, *flags, *payload);
             }
             Event::TcpState {
@@ -712,7 +743,12 @@ impl Observer for Monitor {
                 from,
                 to,
             } => {
-                let key = (rec.host, *local_port, *remote_port, *remote_ip);
+                let key = ConnKey {
+                    host: rec.host,
+                    lp: *local_port,
+                    rp: *remote_port,
+                    ip: *remote_ip,
+                };
                 self.on_tcp_state(rec, key, *from, *to);
             }
             Event::TcpRexmit {
@@ -722,7 +758,12 @@ impl Observer for Monitor {
                 reason,
                 ..
             } => {
-                let key = (rec.host, *local_port, *remote_port, *remote_ip);
+                let key = ConnKey {
+                    host: rec.host,
+                    lp: *local_port,
+                    rp: *remote_port,
+                    ip: *remote_ip,
+                };
                 self.on_rexmit(rec, key, *reason);
             }
             Event::RingEnqueue { channel, depth, .. } => {
@@ -754,7 +795,7 @@ impl Observer for Monitor {
                 ..
             } => {
                 // Channel ids are never reused; drop its ring state.
-                self.rings.remove(&(rec.host, *id));
+                self.rings.remove(&ring_key(rec.host, *id));
             }
             Event::FaultInject {
                 kind: FaultKind::Crash,
@@ -1092,12 +1133,12 @@ mod tests {
     use super::*;
     use crate::SegFlags;
 
+    /// A segment of the one connection these tests watch: local port 80,
+    /// remote 10.0.0.9:9000.
     fn seg(
         time: Nanos,
         host: u16,
         dir: Dir,
-        lp: u16,
-        rp: u16,
         seq: u32,
         ack: u32,
         flags: SegFlags,
@@ -1109,8 +1150,8 @@ mod tests {
             frame: None,
             event: Event::TcpSegment {
                 dir,
-                local_port: lp,
-                remote_port: rp,
+                local_port: 80,
+                remote_port: 9000,
                 remote_ip: [10, 0, 0, 9],
                 seq,
                 ack,
@@ -1133,9 +1174,9 @@ mod tests {
     fn ack_regression_is_caught_and_wrap_is_not() {
         // Monotone acks, including across the 2^32 wrap: clean.
         let recs = vec![
-            seg(1, 0, Dir::Tx, 80, 9000, 0, u32::MAX - 10, A, 0),
-            seg(2, 0, Dir::Tx, 80, 9000, 0, 5, A, 0), // wrapped forward
-            seg(3, 0, Dir::Tx, 80, 9000, 0, 5, A, 0), // repeat is fine
+            seg(1, 0, Dir::Tx, 0, u32::MAX - 10, A, 0),
+            seg(2, 0, Dir::Tx, 0, 5, A, 0), // wrapped forward
+            seg(3, 0, Dir::Tx, 0, 5, A, 0), // repeat is fine
         ];
         let m = Monitor::new().run_over(&recs);
         assert_eq!(m.total_violations(), 0);
@@ -1143,8 +1184,8 @@ mod tests {
 
         // A genuine rewind violates.
         let recs = vec![
-            seg(1, 0, Dir::Tx, 80, 9000, 0, 5000, A, 0),
-            seg(2, 0, Dir::Tx, 80, 9000, 0, 4000, A, 0),
+            seg(1, 0, Dir::Tx, 0, 5000, A, 0),
+            seg(2, 0, Dir::Tx, 0, 4000, A, 0),
         ];
         let m = Monitor::new().run_over(&recs);
         assert_eq!(m.count(ViolationKind::TcpAckRegression), 1);
@@ -1152,8 +1193,8 @@ mod tests {
 
     #[test]
     fn dup_ack_rexmit_requires_three_dups() {
-        let data = |t| seg(t, 0, Dir::Tx, 80, 9000, 100, 1, A, 500);
-        let dup = |t| seg(t, 0, Dir::Rx, 80, 9000, 1, 100, A, 0);
+        let data = |t| seg(t, 0, Dir::Tx, 100, 1, A, 500);
+        let dup = |t| seg(t, 0, Dir::Rx, 1, 100, A, 0);
         let rex = |t| Record {
             time: t,
             host: Some(0),
@@ -1379,23 +1420,6 @@ mod tests {
         use mutations::BugClass;
         let mut recs = Vec::new();
         let t = |recs: &mut Vec<Record>, r| recs.push(r);
-        let mkseg = |time, host, dir, seq, ack, flags, payload| Record {
-            time,
-            host: Some(host),
-            frame: None,
-            event: Event::TcpSegment {
-                dir,
-                local_port: 80,
-                remote_port: 9000,
-                remote_ip: [10, 0, 0, 9],
-                seq,
-                ack,
-                wnd: 8192,
-                flags,
-                payload,
-                wire: 40 + payload,
-            },
-        };
         let s = SegFlags {
             syn: true,
             ..Default::default()
@@ -1438,8 +1462,8 @@ mod tests {
                 },
             },
         );
-        t(&mut recs, mkseg(1, 0, Dir::Tx, 0, 0, s, 0));
-        t(&mut recs, mkseg(2, 0, Dir::Rx, 0, 1, sa, 0));
+        t(&mut recs, seg(1, 0, Dir::Tx, 0, 0, s, 0));
+        t(&mut recs, seg(2, 0, Dir::Rx, 0, 1, sa, 0));
         t(
             &mut recs,
             Record {
@@ -1456,12 +1480,12 @@ mod tests {
             },
         );
         // Data, three dups, a justified fast rexmit.
-        t(&mut recs, mkseg(3, 0, Dir::Tx, 1, 1, A, 500));
-        t(&mut recs, mkseg(4, 0, Dir::Tx, 501, 1, A, 500));
-        t(&mut recs, mkseg(5, 0, Dir::Rx, 1, 1, A, 0));
-        t(&mut recs, mkseg(6, 0, Dir::Rx, 1, 1, A, 0));
-        t(&mut recs, mkseg(7, 0, Dir::Rx, 1, 1, A, 0));
-        t(&mut recs, mkseg(8, 0, Dir::Rx, 1, 1, A, 0));
+        t(&mut recs, seg(3, 0, Dir::Tx, 1, 1, A, 500));
+        t(&mut recs, seg(4, 0, Dir::Tx, 501, 1, A, 500));
+        t(&mut recs, seg(5, 0, Dir::Rx, 1, 1, A, 0));
+        t(&mut recs, seg(6, 0, Dir::Rx, 1, 1, A, 0));
+        t(&mut recs, seg(7, 0, Dir::Rx, 1, 1, A, 0));
+        t(&mut recs, seg(8, 0, Dir::Rx, 1, 1, A, 0));
         t(
             &mut recs,
             Record {
@@ -1478,7 +1502,7 @@ mod tests {
                 },
             },
         );
-        t(&mut recs, mkseg(10, 0, Dir::Rx, 1, 1001, A, 0));
+        t(&mut recs, seg(10, 0, Dir::Rx, 1, 1001, A, 0));
         // Ring + demux traffic on the receive host.
         t(
             &mut recs,

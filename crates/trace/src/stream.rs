@@ -76,7 +76,6 @@ thread_local! {
     static OBSERVERS: RefCell<Vec<(u64, Box<dyn Observer>)>> = const { RefCell::new(Vec::new()) };
     static NEXT_HANDLE: Cell<u64> = const { Cell::new(1) };
     static ATTACHED: Cell<usize> = const { Cell::new(0) };
-    static DISPATCHING: Cell<bool> = const { Cell::new(false) };
     static VIOLATIONS: Cell<u64> = const { Cell::new(0) };
     static RECORDER_OCC: Cell<u64> = const { Cell::new(0) };
     static RECORDER_CAP: Cell<u64> = const { Cell::new(0) };
@@ -141,15 +140,14 @@ pub(crate) fn any_attached() -> bool {
 /// dropped: observation must stay observation-only.
 #[doc(hidden)]
 pub fn dispatch(rec: &Record) {
-    if DISPATCHING.with(|c| c.replace(true)) {
-        return;
-    }
     OBSERVERS.with(|o| {
-        for (_, obs) in o.borrow_mut().iter_mut() {
-            obs.on_record(rec);
+        // Inside a callback the list is already borrowed: drop the record.
+        if let Ok(mut observers) = o.try_borrow_mut() {
+            for (_, obs) in observers.iter_mut() {
+                obs.on_record(rec);
+            }
         }
     });
-    DISPATCHING.with(|c| c.set(false));
 }
 
 /// Cross-observer stream counters, mirrored into `Metrics` by

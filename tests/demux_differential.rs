@@ -302,21 +302,39 @@ proptest! {
             }
             Ok(())
         };
+        // The keyed-table sizes the module keeps must equal a recount of
+        // the live bindings per tier, duplicated keys counted once each.
+        let check_sizes = |m: &NetIoModule, live: &[usize]| -> Result<(), TestCaseError> {
+            let keyed = |tier| live.iter().filter(|&&i| tiers[i] == tier).count();
+            prop_assert_eq!(
+                (m.flow_table_len(), m.listen_table_len()),
+                (keyed(DemuxPath::FlowTable), keyed(DemuxPath::ListenTable)),
+                "table sizes diverged over {:?}", chans
+            );
+            prop_assert!(m.caches_match_rebuild(), "caches diverged over {:?}", chans);
+            Ok(())
+        };
         let mut ids = Vec::new();
-        for c in &chans {
+        let mut live = Vec::new();
+        for (i, c) in chans.iter().enumerate() {
             let spec = spec_of(c);
             let (id, ..) = m.create_channel(OwnerTag(1), &spec, template_of(&spec), 8, 2048);
+            live.push(i);
             check(&m)?;
+            check_sizes(&m, &live)?;
             if c.active {
                 m.activate(id);
                 check(&m)?;
+                check_sizes(&m, &live)?;
             }
             ids.push((id, *c));
         }
-        for &(id, c) in &ids {
+        for (i, &(id, c)) in ids.iter().enumerate() {
             if c.destroy {
                 m.destroy_channel(id, OwnerTag(1));
+                live.retain(|&j| j != i);
                 check(&m)?;
+                check_sizes(&m, &live)?;
             }
         }
     }
