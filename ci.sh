@@ -19,14 +19,6 @@ cargo build --release --offline
 echo "== tier-1: cargo test -q =="
 cargo test -q --offline
 
-# Observability must be optional: with the `trace` feature off, every
-# journal emission site compiles to an inert no-op and the workspace must
-# still build and pass the root suites. `-p unp` keeps this step on the
-# facade package now that the workspace's default members are every crate.
-echo "== trace feature off: build + test =="
-cargo build --offline --no-default-features -p unp
-cargo test -q --offline --no-default-features -p unp
-
 # The two invariants the fast paths stand on, run explicitly (and in
 # release, matching how the artifacts are produced): the zero-copy frame
 # path must keep the golden pcap byte-identical, and the flow-table demux
@@ -50,6 +42,12 @@ cargo test -q --release --offline --test profile
 # matches how the long multi-host worlds are meant to run.
 echo "== fault soak (seeded, release) =="
 cargo test -q --release --offline --test fault_soak
+
+# The dashboard runs end to end: every section prints, the journal feeds
+# the profiler, and the conformance monitor riding the lossy multi-tenant
+# workload must flag nothing (the example asserts it).
+echo "== unp_top dashboard (zero monitor violations) =="
+cargo run --release --offline -q --example unp_top > /dev/null
 
 # The reproduced tables are the project's ground truth: any diff against
 # the committed golden output — including from a demux or buffering

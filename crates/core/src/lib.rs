@@ -39,8 +39,8 @@ pub use faults::{
     ByzantineKind, ByzantineSchedule, Crash, FaultPlan, LinkFaults, Outage, RingPressure,
 };
 pub use world::{
-    build_hosts, build_two_hosts, crash_host, crash_tenant, install_faults, sync_tenant_scopes,
-    Eng, Host, Network, OrgKind, World,
+    build_hosts, build_two_hosts, crash_host, crash_tenant, install_faults, Eng, Host, Network,
+    OrgKind, World,
 };
 
 /// Congestion-control selection for the ablation experiments.

@@ -1954,7 +1954,6 @@ fn apply_registry_actions(w: &mut World, eng: &mut Eng, h: usize, actions: Vec<R
                     w.hosts[h].hs_by_chan.remove(&setup.chan.id);
                     w.hosts[h].netio.destroy_channel(setup.chan.id, OwnerTag(0));
                     w.metrics.gauge_dec(Gauge::OpenChannels);
-                    sync_demux_gauges(w);
                 }
                 w.hosts[h].pending_tenants.remove(&hs.0);
                 if let Some(mut app) = w.hosts[h].pending_apps.remove(&hs.0) {
@@ -1970,62 +1969,6 @@ fn apply_registry_actions(w: &mut World, eng: &mut Eng, h: usize, actions: Vec<R
             }
         }
     }
-}
-
-/// Re-derives the demux table-size gauges from the kernel modules.
-/// Called wherever `OpenChannels` moves so the flow/listen entry counts
-/// in the metrics windows track channel churn exactly; set (not inc/dec)
-/// because a destroyed channel may have lived in either keyed table or
-/// in neither (residual scan tier).
-fn sync_demux_gauges(w: &mut World) {
-    let (mut flow, mut listen) = (0u64, 0u64);
-    for host in &w.hosts {
-        flow += host.netio.flow_table_len() as u64;
-        listen += host.netio.listen_table_len() as u64;
-    }
-    w.metrics.gauge_set(Gauge::DemuxFlowEntries, flow);
-    w.metrics.gauge_set(Gauge::DemuxListenEntries, listen);
-}
-
-/// Mirrors every kernel tenant account into the metrics registry's
-/// [`unp_trace::TenantScope`]s. Called when quota enforcement fires and
-/// by reporting code before it reads the scopes; cheap (a handful of
-/// tenants per host), and a no-op on worlds that never budget anyone
-/// beyond each host's default owner.
-pub fn sync_tenant_scopes(w: &mut World) {
-    for h in 0..w.hosts.len() {
-        for t in w.hosts[h].netio.tenant_ids() {
-            let Some(s) = w.hosts[h].netio.tenant_stats(t) else {
-                continue;
-            };
-            let scope = w.metrics.tenant(h as u16, t.0);
-            scope.rx_delivered = s.rx_delivered;
-            scope.tx_frames = s.tx_frames;
-            scope.quota_drops = s.quota_drops;
-            scope.tx_rejections = s.tx_rejections;
-            scope.ring_slots = s.ring_slots as u64;
-            scope.ring_quota = s.ring_quota as u64;
-            scope.open_channels = s.open_channels as u64;
-        }
-    }
-}
-
-/// Mirrors the observer pipeline's stream counters into the metrics
-/// registry: violations flagged by an attached conformance monitor and
-/// the flight recorder's current occupancy. The stream counter is
-/// monotonic per thread while `Ctr` is add-only, and this sync is the
-/// counter's sole writer, so the counter itself doubles as the
-/// last-synced watermark. Called by reporting code (dashboards,
-/// exporters) before it reads the metrics; a no-op when no observer is
-/// attached.
-pub fn sync_monitor_stats(w: &mut World) {
-    let s = unp_trace::stream_stats();
-    let seen = w.metrics.get(Ctr::MonitorViolations);
-    if s.violations > seen {
-        w.metrics.add(Ctr::MonitorViolations, s.violations - seen);
-    }
-    w.metrics
-        .gauge_set(Gauge::RecorderOccupancy, s.recorder_occupancy);
 }
 
 /// Creates the channel, template, and (on AN1) BQI for a handshake the
@@ -2089,7 +2032,6 @@ fn ensure_hs_setup(w: &mut World, h: usize, hs: HsId, repr: &TcpRepr, remote: Ip
         return;
     };
     w.metrics.gauge_inc(Gauge::OpenChannels);
-    sync_demux_gauges(w);
     let our_bqi = match &mut w.hosts[h].nic {
         Nic::An1(nic) => nic.bqi_table.allocate(owner, ring).unwrap_or(0),
         Nic::Lance(_) => 0,
@@ -2188,7 +2130,6 @@ fn listener_vanished(w: &mut World, eng: &mut Eng, h: usize, chan: ChanInfo, tcb
             .free(chan.our_bqi, unp_buffers::BqiTable::KERNEL_OWNER);
     }
     w.metrics.gauge_dec(Gauge::OpenChannels);
-    sync_demux_gauges(w);
     if let Some(cs) = stats {
         w.hosts[h]
             .registry
@@ -2575,7 +2516,6 @@ fn retire_conn_stats(
         ch.listen_hits = cs.listen_hits;
         ch.scan_fallbacks = cs.scan_fallbacks;
         w.metrics.gauge_dec(Gauge::OpenChannels);
-        sync_demux_gauges(w);
         w.hosts[h]
             .registry
             .record_channel_stats(key.local_port, tcb.remote(), cs);
@@ -2872,7 +2812,6 @@ pub fn crash_host(w: &mut World, eng: &mut Eng, host: usize) {
                 .free(setup.chan.our_bqi, unp_buffers::BqiTable::KERNEL_OWNER);
         }
         w.metrics.gauge_dec(Gauge::OpenChannels);
-        sync_demux_gauges(w);
         reclaim(w, ReclaimKind::Channel, setup.chan.id.0);
     }
     // Stage 2a: established connections take the normal abnormal-exit
@@ -2899,7 +2838,6 @@ pub fn crash_host(w: &mut World, eng: &mut Eng, host: usize) {
         w.hosts[host].chan_to_conn.remove(&id);
         w.hosts[host].hs_by_chan.remove(&id);
         w.metrics.gauge_dec(Gauge::OpenChannels);
-        sync_demux_gauges(w);
         reclaim(w, ReclaimKind::Channel, id.0);
     }
     let freed = match &mut w.hosts[host].nic {
@@ -2989,7 +2927,6 @@ pub fn crash_tenant(w: &mut World, eng: &mut Eng, host: usize, tenant: OwnerTag)
                     .free(setup.chan.our_bqi, unp_buffers::BqiTable::KERNEL_OWNER);
             }
             w.metrics.gauge_dec(Gauge::OpenChannels);
-            sync_demux_gauges(w);
             reclaim(w, ReclaimKind::Channel, setup.chan.id.0);
         }
         let mut cids: Vec<u32> = w.hosts[host]
@@ -3048,7 +2985,6 @@ pub fn crash_tenant(w: &mut World, eng: &mut Eng, host: usize, tenant: OwnerTag)
             }
         }
         w.metrics.gauge_dec(Gauge::OpenChannels);
-        sync_demux_gauges(w);
         reclaim(w, ReclaimKind::Channel, id.0);
     }
     if !orphan_tcbs.is_empty() {

@@ -237,8 +237,9 @@ struct TenantAccount {
     tx_rejections: u64,
 }
 
-/// Snapshot of one tenant's budget accounting, for dashboards, the
-/// metrics registry's `TenantScope` sync, and the isolation oracle.
+/// Snapshot of one tenant's budget accounting. The kernel is the only
+/// keeper of these numbers: dashboards and the isolation oracle read them
+/// here, through [`NetIoModule::tenant_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TenantStats {
     /// Frames delivered into the tenant's rings.
@@ -255,6 +256,14 @@ pub struct TenantStats {
     pub ring_quota: usize,
     /// Channels the tenant currently holds open.
     pub open_channels: usize,
+}
+
+impl TenantStats {
+    /// The tenant's share of its own ring quota, 0.0..=1.0, or `None`
+    /// when the tenant is unbudgeted.
+    pub fn ring_share(&self) -> Option<f64> {
+        (self.ring_quota > 0).then(|| self.ring_slots as f64 / self.ring_quota as f64)
+    }
 }
 
 struct CapEntry {

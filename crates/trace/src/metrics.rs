@@ -108,9 +108,6 @@ metric_enum! {
         /// Handshake completions whose listener had already vanished;
         /// the channel is reclaimed and the peer reset.
         ListenerVanished => "listener_vanished",
-        /// Violations flagged by the attached conformance monitor
-        /// (mirrored from [`crate::stream_stats`] by the world's sync).
-        MonitorViolations => "monitor_violations",
         /// Frames dropped at NIC staging overflow.
         NicDrops => "nic_drops",
         /// Resources (channels, ports, BQIs, handshakes) reclaimed by a
@@ -148,15 +145,8 @@ metric_enum! {
     Gauge {
         /// Established connections currently alive.
         ActiveConnections => "active_connections",
-        /// Live exact-match flow-table entries across all hosts.
-        DemuxFlowEntries => "demux_flow_entries",
-        /// Live wildcard listen-table entries across all hosts.
-        DemuxListenEntries => "demux_listen_entries",
         /// Kernel channels currently created (handshake + established).
         OpenChannels => "open_channels",
-        /// Records currently held across the attached flight recorder's
-        /// per-host rings (mirrored from [`crate::stream_stats`]).
-        RecorderOccupancy => "recorder_occupancy",
     }
 }
 
@@ -404,36 +394,6 @@ pub struct ChannelScope {
     pub scan_fallbacks: u64,
 }
 
-/// Per-tenant resource roll-up, keyed by `(host, raw tenant id)`: the
-/// kernel's per-tenant budget accounting mirrored into the registry so
-/// dashboards and the isolation oracle see one report. Cumulative
-/// counters plus the instantaneous budget levels at the last sync.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TenantScope {
-    /// Frames delivered into this tenant's rings.
-    pub rx_delivered: u64,
-    /// Frames this tenant transmitted (accepted by the kernel).
-    pub tx_frames: u64,
-    /// Receive drops charged to this tenant's exhausted ring quota.
-    pub quota_drops: u64,
-    /// Transmits rejected for exhausted per-window credit.
-    pub tx_rejections: u64,
-    /// Ring slots the tenant currently occupies across all its channels.
-    pub ring_slots: u64,
-    /// The tenant's aggregate ring-slot quota (0 = unlimited).
-    pub ring_quota: u64,
-    /// Channels the tenant currently holds open.
-    pub open_channels: u64,
-}
-
-impl TenantScope {
-    /// The tenant's share of its own ring quota, 0.0..=1.0, or `None`
-    /// when the tenant is unbudgeted.
-    pub fn ring_share(&self) -> Option<f64> {
-        (self.ring_quota > 0).then(|| self.ring_slots as f64 / self.ring_quota as f64)
-    }
-}
-
 /// The registry: typed counters/gauges/histograms plus scopes. Owned by
 /// the world (one per simulation), not global — parallel test worlds
 /// can't bleed into each other.
@@ -445,7 +405,6 @@ pub struct Metrics {
     conns: BTreeMap<ConnKey, ConnScope>,
     channels: BTreeMap<(u16, u32), ChannelScope>,
     links: BTreeMap<(u16, u16), LinkScope>,
-    tenants: BTreeMap<(u16, u64), TenantScope>,
 }
 
 impl Default for Metrics {
@@ -464,7 +423,6 @@ impl Metrics {
             conns: BTreeMap::new(),
             channels: BTreeMap::new(),
             links: BTreeMap::new(),
-            tenants: BTreeMap::new(),
         }
     }
 
@@ -598,17 +556,6 @@ impl Metrics {
         self.links.iter()
     }
 
-    /// The scope for tenant `tenant` on `host`, created empty on first
-    /// touch.
-    pub fn tenant(&mut self, host: u16, tenant: u64) -> &mut TenantScope {
-        self.tenants.entry((host, tenant)).or_default()
-    }
-
-    /// Iterates recorded tenant scopes in `(host, tenant)` order.
-    pub fn tenants(&self) -> impl Iterator<Item = (&(u16, u64), &TenantScope)> + '_ {
-        self.tenants.iter()
-    }
-
     // ---- export ----
 
     /// Serializes the registry as JSON (hand-rolled: the workspace is
@@ -685,20 +632,6 @@ impl Metrics {
                 l.reorders,
                 l.corrupts,
                 l.outage_drops,
-            ));
-        }
-        out.push_str("\n  ],\n  \"tenants\": [");
-        for (i, ((host, tenant), t)) in self.tenants().enumerate() {
-            out.push_str(&format!(
-                "{}\n    {{\"host\": {host}, \"tenant\": {tenant}, \"rx_delivered\": {}, \"tx_frames\": {}, \"quota_drops\": {}, \"tx_rejections\": {}, \"ring_slots\": {}, \"ring_quota\": {}, \"open_channels\": {}}}",
-                if i > 0 { "," } else { "" },
-                t.rx_delivered,
-                t.tx_frames,
-                t.quota_drops,
-                t.tx_rejections,
-                t.ring_slots,
-                t.ring_quota,
-                t.open_channels,
             ));
         }
         out.push_str("\n  ]\n}\n");
@@ -883,7 +816,8 @@ impl Window {
     }
 
     /// Tenant-quota receive drops per second of sim time, across all
-    /// tenants (per-tenant attribution lives in the [`TenantScope`]s).
+    /// tenants (per-tenant attribution lives in the kernel's
+    /// `TenantStats`).
     pub fn quota_drops_per_sec(&self) -> f64 {
         self.per_sec(Ctr::ChQuotaDrops)
     }
@@ -926,16 +860,6 @@ impl Window {
         (all > 0).then(|| keyed as f64 / all as f64)
     }
 
-    /// Live keyed-table populations (flow entries, listen entries) at the
-    /// window's end, summed across hosts — the dashboard's table-size
-    /// columns.
-    pub fn demux_table_sizes(&self) -> (u64, u64) {
-        (
-            self.gauge(Gauge::DemuxFlowEntries),
-            self.gauge(Gauge::DemuxListenEntries),
-        )
-    }
-
     /// Mean ring occupancy observed at enqueue during the window, or
     /// `None` if nothing was enqueued.
     pub fn mean_ring_depth(&self) -> Option<f64> {
@@ -966,9 +890,8 @@ impl Window {
                 h.name(),
             ));
         }
-        let (flow, listen) = self.demux_table_sizes();
         out.push_str(&format!(
-            "\n  }},\n  \"rates\": {{\n    \"rx_pps\": {:.3},\n    \"tx_pps\": {:.3},\n    \"rexmit_per_sec\": {:.3},\n    \"rexmit_share\": {},\n    \"flow_hit_rate\": {},\n    \"listen_hit_rate\": {},\n    \"keyed_hit_rate\": {},\n    \"mean_ring_depth\": {},\n    \"flow_entries\": {flow},\n    \"listen_entries\": {listen}\n  }}\n}}\n",
+            "\n  }},\n  \"rates\": {{\n    \"rx_pps\": {:.3},\n    \"tx_pps\": {:.3},\n    \"rexmit_per_sec\": {:.3},\n    \"rexmit_share\": {},\n    \"flow_hit_rate\": {},\n    \"listen_hit_rate\": {},\n    \"keyed_hit_rate\": {},\n    \"mean_ring_depth\": {}\n  }}\n}}\n",
             self.rx_pps(),
             self.tx_pps(),
             self.rexmit_per_sec(),
@@ -1251,7 +1174,7 @@ mod tests {
         m.add(Ctr::ChFlowHits, 80);
         m.add(Ctr::ChListenHits, 10);
         m.add(Ctr::ChScanFallbacks, 10);
-        m.gauge_set(Gauge::DemuxFlowEntries, 42);
+        m.gauge_set(Gauge::ActiveConnections, 42);
         m.sample(Hist::RingDepth, 3);
         m.sample(Hist::RingDepth, 5);
         let s0 = Metrics::new().snapshot(0);
@@ -1269,9 +1192,9 @@ mod tests {
         assert_eq!(
             sj.get("gauges")
                 .unwrap()
-                .get("demux_flow_entries")
+                .get("active_connections")
                 .and_then(Value::as_u64),
-            Some(s1.gauge(Gauge::DemuxFlowEntries))
+            Some(s1.gauge(Gauge::ActiveConnections))
         );
         let rd = sj.get("histograms").unwrap().get("ring_depth").unwrap();
         assert_eq!(rd.get("count").and_then(Value::as_u64), Some(2));
@@ -1298,8 +1221,11 @@ mod tests {
         let keyed = rates.get("keyed_hit_rate").and_then(Value::as_f64).unwrap();
         assert!((keyed - w.keyed_hit_rate().unwrap()).abs() < 1e-6);
         assert_eq!(
-            rates.get("flow_entries").and_then(Value::as_u64),
-            Some(w.demux_table_sizes().0)
+            wj.get("gauges")
+                .unwrap()
+                .get("active_connections")
+                .and_then(Value::as_u64),
+            Some(w.gauge(Gauge::ActiveConnections))
         );
         assert_eq!(
             rates.get("mean_ring_depth").and_then(Value::as_f64),

@@ -1413,6 +1413,44 @@ mod tests {
     }
 
     #[test]
+    fn stream_stats_follow_the_monitor_and_reset_to_zero() {
+        // The dashboards' `viol` and `rec occ` columns read only these
+        // thread-local counters, so they must agree with the monitor.
+        let before = crate::stream_stats();
+        let mut recs: Vec<Record> = (0..6)
+            .map(|t| Record {
+                time: t,
+                host: Some(t as u16 % 2),
+                frame: None,
+                event: Event::NicTx { len: 60 },
+            })
+            .collect();
+        recs.push(seg(6, 0, Dir::Tx, 0, 5000, A, 0));
+        recs.push(seg(7, 0, Dir::Tx, 0, 4000, A, 0));
+        recs.push(Record {
+            time: 8,
+            host: Some(1),
+            frame: None,
+            event: Event::QuotaDrop {
+                channel: 2,
+                tenant: 66,
+                in_use: 3,
+                quota: 8,
+            },
+        });
+        let m = Monitor::with_recorder(3).run_over(&recs);
+        assert_eq!(m.total_violations(), 2);
+        let s = crate::stream_stats();
+        assert_eq!(s.violations - before.violations, m.total_violations());
+        assert_eq!(s.recorder_occupancy, m.recorder_occupancy() as u64);
+        assert_eq!(s.recorder_occupancy, 6, "two lanes of three");
+        assert_eq!(s.recorder_capacity, 6);
+
+        crate::reset_stream_stats();
+        assert_eq!(crate::stream_stats(), crate::StreamStats::default());
+    }
+
+    #[test]
     fn mutation_harness_catches_every_class_and_only_on_mutants() {
         // A miniature but checker-complete journal: handshake edges,
         // data + acks + a justified rexmit, ring traffic, pool chain,

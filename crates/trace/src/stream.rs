@@ -15,10 +15,6 @@
 //! Observation stays observation-only — an observer cannot charge
 //! simulated cost, schedule events, or (re-entrantly) emit records; an
 //! emission made from inside an observer callback is dropped.
-//!
-//! This module compiles unconditionally (no `journal` feature gate): with
-//! the feature off no emission site ever calls [`dispatch`], so attaching
-//! an observer is harmless and examples need no `cfg` scaffolding.
 
 use crate::Record;
 use std::any::Any;
@@ -129,7 +125,6 @@ pub fn observer_count() -> usize {
 }
 
 /// The emit path's hot gate: one thread-local read while quiescent.
-#[cfg_attr(not(feature = "journal"), allow(dead_code))]
 #[inline]
 pub(crate) fn any_attached() -> bool {
     ATTACHED.with(|c| c.get() > 0)
@@ -150,8 +145,9 @@ pub fn dispatch(rec: &Record) {
     });
 }
 
-/// Cross-observer stream counters, mirrored into `Metrics` by
-/// `core::world::sync_monitor_stats` for the live dashboards.
+/// Cross-observer stream counters. The single source of the dashboards'
+/// violation and recorder-occupancy columns: nothing copies them
+/// elsewhere.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StreamStats {
     /// Total conformance violations flagged on this thread (all monitors,
@@ -199,7 +195,6 @@ pub fn journal_dropped() -> u64 {
     JOURNAL_DROPPED.with(|c| c.get())
 }
 
-#[cfg_attr(not(feature = "journal"), allow(dead_code))]
 pub(crate) fn reset_journal_dropped() {
     JOURNAL_DROPPED.with(|c| c.set(0));
 }

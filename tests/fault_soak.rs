@@ -86,9 +86,7 @@ fn run_soak_world(seed: u64, loss: f64) {
         // behavior (loss, dup, corruption, outage, crash all have
         // conformant recoveries), so a checker that flags anything here
         // is lying. The crash freezes the flight recorder's window into
-        // a postmortem even with zero violations. Gated on `trace`: with
-        // emission compiled out the monitor would see nothing.
-        #[cfg(feature = "trace")]
+        // a postmortem even with zero violations.
         let monitor = unp::trace::attach(Box::new(
             unp::trace::Monitor::with_recorder(256).expect_pool_drained(true),
         ));
@@ -202,28 +200,25 @@ fn run_soak_world(seed: u64, loss: f64) {
 
         assert_no_leaks(&w);
 
-        #[cfg(feature = "trace")]
-        {
-            let mon = unp::trace::detach_as::<unp::trace::Monitor>(monitor)
-                .expect("monitor still attached");
-            assert_eq!(
-                mon.total_violations(),
-                0,
-                "conformant soak flagged (seed {seed}): {:?}",
-                mon.violations().first()
-            );
-            let c = mon.checked();
-            assert!(c.tcp_acks > 0, "ACK checker never ran");
-            assert!(c.transitions > 0, "FSM checker never ran");
-            assert!(c.rexmits > 0, "rexmit checker never ran under loss");
-            assert!(c.ring_events > 0, "ring checker never ran");
-            assert!(c.pool_events > 0, "pool checker never ran");
-            assert!(c.demux_classifies > 0, "demux checker never ran");
-            assert!(
-                mon.postmortem().is_some(),
-                "the crash must freeze the recorder into a postmortem"
-            );
-        }
+        let mon =
+            unp::trace::detach_as::<unp::trace::Monitor>(monitor).expect("monitor still attached");
+        assert_eq!(
+            mon.total_violations(),
+            0,
+            "conformant soak flagged (seed {seed}): {:?}",
+            mon.violations().first()
+        );
+        let c = mon.checked();
+        assert!(c.tcp_acks > 0, "ACK checker never ran");
+        assert!(c.transitions > 0, "FSM checker never ran");
+        assert!(c.rexmits > 0, "rexmit checker never ran under loss");
+        assert!(c.ring_events > 0, "ring checker never ran");
+        assert!(c.pool_events > 0, "pool checker never ran");
+        assert!(c.demux_classifies > 0, "demux checker never ran");
+        assert!(
+            mon.postmortem().is_some(),
+            "the crash must freeze the recorder into a postmortem"
+        );
     }
     // Worlds and engine dropped: every pooled frame backing is gone.
     assert_eq!(
@@ -247,7 +242,6 @@ fn seeded_soak_fixed_seeds() {
 fn disabled_plan_is_inert() {
     // On a fault-free run the monitor is equally silent, and with no
     // crash the recorder never freezes.
-    #[cfg(feature = "trace")]
     let monitor = unp::trace::attach(Box::new(unp::trace::Monitor::with_recorder(256)));
 
     let (mut w, mut eng) = build_two_hosts(Network::Ethernet, OrgKind::UserLibrary);
@@ -287,22 +281,19 @@ fn disabled_plan_is_inert() {
     assert_eq!(w.metrics.links().count(), 0, "no per-link scopes created");
     assert_no_leaks(&w);
 
-    #[cfg(feature = "trace")]
-    {
-        let mon =
-            unp::trace::detach_as::<unp::trace::Monitor>(monitor).expect("monitor still attached");
-        assert_eq!(
-            mon.total_violations(),
-            0,
-            "clean run flagged: {:?}",
-            mon.violations().first()
-        );
-        assert!(mon.checked().tcp_acks > 0, "monitor saw no traffic");
-        assert!(
-            mon.postmortem().is_none(),
-            "nothing should freeze the recorder on a clean run"
-        );
-    }
+    let mon =
+        unp::trace::detach_as::<unp::trace::Monitor>(monitor).expect("monitor still attached");
+    assert_eq!(
+        mon.total_violations(),
+        0,
+        "clean run flagged: {:?}",
+        mon.violations().first()
+    );
+    assert!(mon.checked().tcp_acks > 0, "monitor saw no traffic");
+    assert!(
+        mon.postmortem().is_none(),
+        "nothing should freeze the recorder on a clean run"
+    );
 }
 
 /// The AN1 (hardware demux) path under the same fault vocabulary: BQI

@@ -15,7 +15,6 @@
 //!     hostile tenant (`Loss::QuotaExceeded { tenant }`);
 //! (d) zero resources leak after the hostile tenant is crashed and
 //!     reclaimed through the registry/kernel backstop alone.
-#![cfg(feature = "trace")]
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -25,8 +24,7 @@ use unp::buffers::OwnerTag;
 use unp::core::app::{BulkSender, SinkApp, TransferStats};
 use unp::core::faults::{ByzantineKind, ByzantineSchedule, FaultPlan};
 use unp::core::world::{
-    build_hosts, connect_as, crash_tenant, install_faults, listen, listen_as, sync_tenant_scopes,
-    Network, OrgKind,
+    build_hosts, connect_as, crash_tenant, install_faults, listen, listen_as, Network, OrgKind,
 };
 use unp::kernel::TenantBudget;
 use unp::tcp::TcpConfig;
@@ -212,7 +210,29 @@ fn run_scenario(hostile: bool) -> RunResult {
         });
 
         assert!(eng.run(&mut w, 2_500_000_000), "scenario did not drain");
-        sync_tenant_scopes(&mut w);
+
+        // The kernel's tenant accounts are the only per-tenant copy of
+        // the quota numbers: summed over every host they reconcile with
+        // the world's counters, and every quota drop is charged to the
+        // hostile tenant.
+        let (mut drops, mut rejections, mut innocent_drops) = (0, 0, 0);
+        for h in &w.hosts {
+            for t in h.netio.tenant_ids() {
+                let s = h.netio.tenant_stats(t).expect("listed tenant has stats");
+                drops += s.quota_drops;
+                rejections += s.tx_rejections;
+                if t != OwnerTag(HOSTILE) {
+                    innocent_drops += s.quota_drops;
+                }
+            }
+        }
+        assert_eq!(drops, w.metrics.get(Ctr::ChQuotaDrops), "quota drops");
+        assert_eq!(
+            rejections,
+            w.metrics.get(Ctr::TxQuotaRejections),
+            "tx quota rejections"
+        );
+        assert_eq!(innocent_drops, 0, "a quota drop charged to an innocent");
 
         let innocent_chans = chan_map.borrow().clone();
         assert_eq!(

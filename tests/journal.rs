@@ -1,7 +1,5 @@
 //! Journal determinism and lifecycle-join tests (satellites of the
-//! tracing tentpole). Gated on the `trace` feature: with tracing compiled
-//! out these tests vanish rather than fail.
-#![cfg(feature = "trace")]
+//! tracing tentpole).
 
 use std::collections::HashMap;
 use std::rc::Rc;

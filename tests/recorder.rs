@@ -1,8 +1,7 @@
 //! Flight-recorder window property test (satellite of the streaming
 //! observers tentpole): for any capacity, each per-host ring is the exact
 //! tail of that host's journal lane, and `dump_all` merges the lanes back
-//! into emission order. Gated on the `trace` feature.
-#![cfg(feature = "trace")]
+//! into emission order.
 
 use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
