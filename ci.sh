@@ -19,6 +19,12 @@ cargo build --release --offline
 echo "== tier-1: cargo test -q =="
 cargo test -q --offline
 
+# The host-time benchmark is a package of its own outside the workspace,
+# built against the crates' public APIs: building and testing it here
+# means a deletion from those APIs cannot break it unnoticed.
+echo "== perfbench builds and its tests pass (release) =="
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 # The two invariants the fast paths stand on, run explicitly (and in
 # release, matching how the artifacts are produced): the zero-copy frame
 # path must keep the golden pcap byte-identical, and the flow-table demux
@@ -72,11 +78,11 @@ cargo run -q -p unp-bench --release --offline --bin repro-tables -- \
 # oracle, so every retransmit must be attributed (coverage exactly 1.0)
 # and every lost data frame claimed exactly once or superseded, and the
 # Chrome trace export must match the pinned golden byte-for-byte
-# (refresh with --explain-baseline after a reviewed change).
+# (refresh with --explain-baseline after a reviewed change). The gate
+# writes BENCH_causal.json and requires the attribution_coverage it
+# reports to be exactly 1.
 echo "== causal attribution gate (fault-plan oracle + golden chrome trace) =="
 cargo run -q -p unp-bench --release --offline --bin repro-tables -- --explain-gate
-grep -q '"attribution_coverage": 1.0000' BENCH_causal.json \
-  || { echo "BENCH_causal.json does not report full attribution coverage"; exit 1; }
 
 # Churn-scaling gate: channel activate/teardown is maintained
 # incrementally (O(log N) per event), so a create→activate→destroy cycle
@@ -92,12 +98,10 @@ cargo run -q -p unp-bench --release --offline --bin repro-tables -- --churn-gate
 # byte-exact inside the throughput/latency envelope of a
 # hostile-disabled baseline of the same seed, every quota drop must be
 # causally attributed to the hostile tenant, and nothing may leak after
-# the wedged crash. Writes BENCH_isolation.json (folded into
-# BENCH_summary.json).
+# the wedged crash. Writes BENCH_isolation.json and requires the
+# quota_drops_misattributed it reports to be 0.
 echo "== multi-tenant isolation gate (byzantine tenant vs quota envelope) =="
 cargo run -q -p unp-bench --release --offline --bin repro-tables -- --isolation-gate
-grep -q '"quota_drops_misattributed": 0' BENCH_isolation.json \
-  || { echo "BENCH_isolation.json reports misattributed quota drops"; exit 1; }
 
 # Conformance-monitor gate: the streaming checkers run over the golden
 # workloads (lossy causal replay, clean transfer, live attach) and must
@@ -105,11 +109,9 @@ grep -q '"quota_drops_misattributed": 0' BENCH_isolation.json \
 # stack's own. Soundness the other way: the seeded mutation harness must
 # catch all 8 bug classes, the monitor's overhead on the live workload
 # must stay under the bound, and the monitored 8→10^6-channel sweep
-# proves O(touched-state) memory. Writes BENCH_monitor.json (folded into
-# BENCH_summary.json).
+# proves O(touched-state) memory. Writes BENCH_monitor.json and requires
+# the golden_violations it reports to be 0.
 echo "== conformance monitor gate (golden zero-violation + mutation coverage) =="
 cargo run -q -p unp-bench --release --offline --bin repro-tables -- --monitor-gate
-grep -q '"golden_violations": 0' BENCH_monitor.json \
-  || { echo "BENCH_monitor.json reports violations on golden workloads"; exit 1; }
 
 echo "CI gate passed."

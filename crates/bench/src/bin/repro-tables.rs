@@ -56,17 +56,88 @@
 //! #   CI gate: same measurements, assert zero violations on conformant
 //! #   runs, non-vacuous checkers, 8/8 mutation classes caught, and the
 //! #   overhead bound; write BENCH_monitor.json; skips the tables
-//! cargo run -p unp-bench --release --bin repro-tables -- --summary
-//! #   fold the headline scalar of every committed BENCH_*.json into
-//! #   BENCH_summary.json (also written by the artifact modes above)
 //! ```
+//!
+//! Table names and the flags above (with `quick`, `timings`, `trace`
+//! and `profile` also accepted bare) are the only arguments: anything
+//! else prints the usage and exits 2, so a misspelled flag never turns
+//! into a table selector that runs nothing.
 
-use unp_bench::{
-    causal, demux, isolation, monitor, profile, scale, summary, tables, timings, trace,
-};
+use unp_bench::{causal, demux, isolation, monitor, profile, scale, tables, timings, trace};
+use unp_trace::json::Value;
+
+/// Every argument accepted besides `--profile-gate <baseline>` and
+/// `--explain [target]`.
+const KNOWN: [&str; 21] = [
+    "table1",
+    "table2",
+    "table3",
+    "table4",
+    "table5",
+    "fig1",
+    "ablations",
+    "quick",
+    "--timings",
+    "timings",
+    "--trace",
+    "trace",
+    "--profile",
+    "profile",
+    "--profile-baseline",
+    "--churn-gate",
+    "--explain-gate",
+    "--explain-baseline",
+    "--isolation-gate",
+    "--monitor",
+    "--monitor-gate",
+];
+
+const USAGE: &str =
+    "usage: repro-tables [quick] [table1|table2|table3|table4|table5|fig1|ablations]...
+                    [--timings] [--trace] [--profile]
+       repro-tables --profile-baseline | --profile-gate <baseline> | --churn-gate
+       repro-tables --explain [f<id>|<port>] | --explain-gate | --explain-baseline
+       repro-tables --isolation-gate | --monitor | --monitor-gate";
+
+/// Writes one report artifact — the only way `repro-tables` writes JSON.
+fn write_report(path: &str, report: &Value) {
+    std::fs::write(path, report.render() + "\n").unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("wrote {path}");
+}
+
+/// Writes a gate's report, then prints its verdict lines or exits 1.
+fn finish_gate(name: &str, path: &str, report: &Value, verdict: Result<Vec<String>, String>) {
+    write_report(path, report);
+    match verdict {
+        Ok(lines) => {
+            for l in lines {
+                println!("{l}");
+            }
+        }
+        Err(msg) => {
+            eprintln!("{name} gate FAILED: {msg}");
+            std::process::exit(1);
+        }
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut rest = args.iter().peekable();
+    while let Some(a) = rest.next() {
+        let ok = match a.as_str() {
+            "--profile-gate" => rest.next().is_some(),
+            "--explain" => {
+                rest.next_if(|t| !t.starts_with("--"));
+                true
+            }
+            a => KNOWN.contains(&a),
+        };
+        if !ok {
+            eprintln!("repro-tables: bad argument {a:?}\n{USAGE}");
+            std::process::exit(2);
+        }
+    }
     let quick = args.iter().any(|a| a == "quick");
     let want_timings = args.iter().any(|a| a == "--timings" || a == "timings");
     let want_trace = args.iter().any(|a| a == "--trace" || a == "trace");
@@ -76,11 +147,10 @@ fn main() {
     let gate_path = args
         .iter()
         .position(|a| a == "--profile-gate")
-        .map(|i| args.get(i + 1).expect("--profile-gate <baseline>").clone());
+        .map(|i| args[i + 1].clone());
     let explain_pos = args.iter().position(|a| a == "--explain");
     let want_explain_gate = args.iter().any(|a| a == "--explain-gate");
     let want_explain_baseline = args.iter().any(|a| a == "--explain-baseline");
-    let want_summary = args.iter().any(|a| a == "--summary");
     let want_isolation_gate = args.iter().any(|a| a == "--isolation-gate");
     let want_monitor = args.iter().any(|a| a == "--monitor");
     let want_monitor_gate = args.iter().any(|a| a == "--monitor-gate");
@@ -88,80 +158,42 @@ fn main() {
     let rounds = if quick { 10 } else { 30 };
 
     if want_explain_gate || want_explain_baseline {
-        let result = if want_explain_gate {
+        let (report, verdict) = if want_explain_gate {
             causal::gate()
         } else {
             causal::baseline()
         };
-        match result {
-            Ok(lines) => {
-                for l in lines {
-                    println!("{l}");
-                }
-            }
-            Err(msg) => {
-                eprintln!("causal gate FAILED: {msg}");
-                std::process::exit(1);
-            }
-        }
+        finish_gate("causal", "BENCH_causal.json", &report, verdict);
         return;
     }
 
     if let Some(i) = explain_pos {
         let graph = causal::causal_section();
-        causal::print_explain(&graph, args.get(i + 1).map(String::as_str));
+        let target = args.get(i + 1).filter(|t| !t.starts_with("--"));
+        causal::print_explain(&graph, target.map(String::as_str));
         return;
     }
 
     if want_isolation_gate {
-        match isolation::gate() {
-            Ok((lines, json)) => {
-                for l in lines {
-                    println!("{l}");
-                }
-                let path = "BENCH_isolation.json";
-                std::fs::write(path, json).expect("write isolation json");
-                println!("wrote {path}");
-                summary::write();
-            }
-            Err(msg) => {
-                eprintln!("isolation gate FAILED: {msg}");
-                std::process::exit(1);
-            }
-        }
+        let (report, verdict) = isolation::gate();
+        finish_gate("isolation", "BENCH_isolation.json", &report, verdict);
         return;
     }
 
     if want_monitor || want_monitor_gate {
-        let report = monitor::monitor_section(|line| println!("{line}"));
-        monitor::print_report(&report);
+        let r = monitor::monitor_section(|line| println!("{line}"));
+        monitor::print_report(&r);
         if want_monitor {
             let lossy = causal::lossy_journal();
             monitor::print_postmortem_demo(&lossy);
         }
-        let json = monitor::to_json(&report);
+        let report = monitor::to_json(&r);
         let path = "BENCH_monitor.json";
-        std::fs::write(path, &json).expect("write monitor json");
-        println!("wrote {path}");
-        summary::write();
         if want_monitor_gate {
-            match monitor::gate(&report) {
-                Ok(lines) => {
-                    for l in lines {
-                        println!("{l}");
-                    }
-                }
-                Err(msg) => {
-                    eprintln!("monitor gate FAILED: {msg}");
-                    std::process::exit(1);
-                }
-            }
+            finish_gate("monitor", path, &report, monitor::gate(&r, &report));
+        } else {
+            write_report(path, &report);
         }
-        return;
-    }
-
-    if want_summary {
-        summary::write();
         return;
     }
 
@@ -188,9 +220,10 @@ fn main() {
         let rows = profile::profile_section(400_000);
         let means = profile::gate_means(&rows);
         if want_baseline {
-            let path = "BENCH_profile_baseline.json";
-            std::fs::write(path, profile::baseline_json(&rows)).expect("write baseline json");
-            println!("wrote {path}");
+            write_report(
+                "BENCH_profile_baseline.json",
+                &profile::baseline_json(&rows),
+            );
         }
         if let Some(path) = gate_path {
             let baseline = std::fs::read_to_string(&path)
@@ -254,27 +287,18 @@ fn main() {
     if want_timings {
         let cmp = timings::pool_comparison(4096, total);
         timings::print_report(&timed, &cmp);
-        let json = timings::to_json(&timed, &cmp);
-        let path = "BENCH_zero_copy.json";
-        std::fs::write(path, &json).expect("write benchmark json");
-        println!("wrote {path}");
+        write_report("BENCH_zero_copy.json", &timings::to_json(&timed, &cmp));
 
         let d = demux::demux_section(total);
         demux::print_report(&d);
-        let json = demux::to_json(&d);
-        let path = "BENCH_demux.json";
-        std::fs::write(path, &json).expect("write benchmark json");
-        println!("wrote {path}");
+        write_report("BENCH_demux.json", &demux::to_json(&d));
     }
 
     if want_trace {
         let trace_total = if quick { 400_000 } else { 1_000_000 };
         let rows = trace::trace_section(trace_total);
         trace::print_report(&rows);
-        let json = trace::to_json(&rows, trace_total);
-        let path = "BENCH_trace.json";
-        std::fs::write(path, &json).expect("write benchmark json");
-        println!("wrote {path}");
+        write_report("BENCH_trace.json", &trace::to_json(&rows, trace_total));
     }
 
     if want_profile {
@@ -282,22 +306,13 @@ fn main() {
         let rows = profile::profile_section(profile_total);
         let churn = profile::churn_sweep();
         profile::print_report(&rows, &churn);
-        let json = profile::to_json(&rows, &churn, profile_total);
-        let path = "BENCH_profile.json";
-        std::fs::write(path, &json).expect("write benchmark json");
-        println!("wrote {path}");
+        write_report(
+            "BENCH_profile.json",
+            &profile::to_json(&rows, &churn, profile_total),
+        );
 
         let points = scale::scale_sweep();
         scale::print_report(&points);
-        let json = scale::to_json(&points);
-        let path = "BENCH_demux_scale.json";
-        std::fs::write(path, &json).expect("write benchmark json");
-        println!("wrote {path}");
-    }
-
-    // Every artifact-writing mode refreshes the consolidated summary so
-    // it never trails the per-mode files it folds.
-    if want_timings || want_trace || want_profile {
-        summary::write();
+        write_report("BENCH_demux_scale.json", &scale::to_json(&points));
     }
 }

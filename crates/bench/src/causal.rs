@@ -14,7 +14,8 @@
 //! `repro-tables --explain [f<id> | <port>]` prints the postmortem for
 //! one frame or one connection (summary when no target is given).
 //! `--explain-gate` is the CI surface: it runs the oracle check, writes
-//! `BENCH_causal.json`, and diffs the Chrome trace export against the
+//! `BENCH_causal.json`, requires the coverage it reports to be 1, and
+//! diffs the Chrome trace export against the
 //! pinned golden `tests/golden/causal_trace.json` (regenerate with
 //! `--explain-baseline` after a reviewed change). The workload is
 //! deterministic, so the golden is byte-exact.
@@ -26,6 +27,7 @@ use unp_core::world::{connect, install_faults, listen};
 use unp_core::{build_two_hosts, BulkSender, Network, OrgKind, SinkApp, TransferStats};
 use unp_tcp::TcpConfig;
 use unp_trace::causal::{CausalGraph, JourneyFate};
+use unp_trace::json::Value;
 use unp_wire::Ipv4Addr;
 
 /// Transfer size of the seeded workload. Small on purpose: the gate's
@@ -169,62 +171,60 @@ pub fn print_explain(graph: &CausalGraph, target: Option<&str>) {
     }
 }
 
-/// Serializes the run for `BENCH_causal.json`: workload parameters,
-/// journey fates, attribution coverage, and per-cause/per-loss counts.
-pub fn to_json(graph: &CausalGraph) -> String {
-    let arrived = graph
-        .journeys
-        .iter()
-        .filter(|j| j.fate == JourneyFate::Arrived)
-        .count();
-    let in_flight = graph
-        .journeys
-        .iter()
-        .filter(|j| j.fate == JourneyFate::InFlight)
-        .count();
-    let mut out = String::from("{\n  \"benchmark\": \"causal_attribution\",\n");
-    out.push_str(&format!(
-        "  \"workload\": {{\"table\": 2, \"org\": \"user_library\", \"total_bytes\": {CAUSAL_TOTAL}, \"user_packet\": {CAUSAL_PACKET}, \"seed\": {CAUSAL_SEED}, \"loss\": {CAUSAL_LOSS}}},\n"
-    ));
-    out.push_str(&format!(
-        "  \"journeys\": {{\"total\": {}, \"arrived\": {arrived}, \"lost\": {}, \"in_flight\": {in_flight}}},\n",
-        graph.journeys.len(),
-        graph.losses().count(),
-    ));
-    out.push_str(&format!(
-        "  \"rexmits\": {},\n  \"attribution_coverage\": {:.4},\n  \"superseded_losses\": {},\n",
-        graph.rexmits.len(),
-        graph.coverage(),
-        superseded_count(graph),
-    ));
-    out.push_str("  \"causes\": {");
-    for (i, (label, n)) in graph.cause_counts().into_iter().enumerate() {
-        out.push_str(&format!(
-            "{}\"{label}\": {n}",
-            if i > 0 { ", " } else { "" }
-        ));
-    }
-    out.push_str("},\n  \"losses\": {");
-    for (i, (label, n)) in graph.loss_counts().into_iter().enumerate() {
-        out.push_str(&format!(
-            "{}\"{label}\": {n}",
-            if i > 0 { ", " } else { "" }
-        ));
-    }
-    out.push_str("}\n}\n");
-    out
+/// The seeded workload's parameters, as the causal and monitor reports
+/// record them.
+pub fn workload_json() -> Value {
+    Value::obj([
+        ("table", 2u64.into()),
+        ("org", "user_library".into()),
+        ("total_bytes", CAUSAL_TOTAL.into()),
+        ("user_packet", CAUSAL_PACKET.into()),
+        ("seed", CAUSAL_SEED.into()),
+        ("loss", CAUSAL_LOSS.into()),
+    ])
 }
 
-/// The CI gate body: oracle check, `BENCH_causal.json`, golden Chrome
-/// trace diff. Returns the human verdict lines to print on success.
-pub fn gate() -> Result<Vec<String>, String> {
+/// The run as a JSON value — `BENCH_causal.json`: workload parameters,
+/// journey fates, attribution coverage, and per-cause/per-loss counts.
+pub fn to_json(graph: &CausalGraph) -> Value {
+    let fates = |fate| graph.journeys.iter().filter(|j| j.fate == fate).count();
+    let counts = |c: Vec<(&str, usize)>| Value::obj(c.into_iter().map(|(k, n)| (k, n.into())));
+    Value::obj([
+        ("benchmark", "causal_attribution".into()),
+        ("workload", workload_json()),
+        (
+            "journeys",
+            Value::obj([
+                ("total", graph.journeys.len().into()),
+                ("arrived", fates(JourneyFate::Arrived).into()),
+                ("lost", graph.losses().count().into()),
+                ("in_flight", fates(JourneyFate::InFlight).into()),
+            ]),
+        ),
+        ("rexmits", graph.rexmits.len().into()),
+        ("attribution_coverage", graph.coverage().into()),
+        ("superseded_losses", superseded_count(graph).into()),
+        ("causes", counts(graph.cause_counts())),
+        ("losses", counts(graph.loss_counts())),
+    ])
+}
+
+/// The CI gate (`--explain-gate`): the `BENCH_causal.json` report and
+/// the verdict — oracle check, full attribution coverage as the report
+/// states it, golden Chrome trace diff. Ok holds the lines to print.
+pub fn gate() -> (Value, Result<Vec<String>, String>) {
     let graph = causal_section();
-    oracle_check(&graph)?;
+    let report = to_json(&graph);
+    let verdict = gate_verdict(&graph, &report);
+    (report, verdict)
+}
+
+fn gate_verdict(graph: &CausalGraph, report: &Value) -> Result<Vec<String>, String> {
+    oracle_check(graph)?;
     if graph.rexmits.is_empty() || graph.losses().next().is_none() {
         return Err("seeded plan injected no loss — the oracle checked nothing".into());
     }
-    std::fs::write("BENCH_causal.json", to_json(&graph))
-        .map_err(|e| format!("write BENCH_causal.json: {e}"))?;
+    crate::require(report, "attribution_coverage", 1.0)?;
     let trace = graph.render_chrome_trace();
     unp_trace::json::parse(&trace).map_err(|e| format!("chrome trace is not valid JSON: {e}"))?;
     let golden = std::fs::read_to_string(GOLDEN_TRACE)
@@ -245,24 +245,20 @@ pub fn gate() -> Result<Vec<String>, String> {
             graph.coverage() * 100.0
         ),
         format!("causal gate: chrome trace matches {GOLDEN_TRACE}"),
-        "wrote BENCH_causal.json".into(),
     ])
 }
 
-/// Regenerates the golden Chrome trace and `BENCH_causal.json` (the
-/// `--explain-baseline` mode; still oracle-checked so a broken run can't
-/// become the pin).
-pub fn baseline() -> Result<Vec<String>, String> {
+/// `--explain-baseline`: the `BENCH_causal.json` report, and the golden
+/// Chrome trace regenerated — still oracle-checked, so a broken run
+/// can't become the pin.
+pub fn baseline() -> (Value, Result<Vec<String>, String>) {
     let graph = causal_section();
-    oracle_check(&graph)?;
-    std::fs::write("BENCH_causal.json", to_json(&graph))
-        .map_err(|e| format!("write BENCH_causal.json: {e}"))?;
-    std::fs::write(GOLDEN_TRACE, graph.render_chrome_trace())
-        .map_err(|e| format!("write {GOLDEN_TRACE}: {e}"))?;
-    Ok(vec![
-        format!("wrote {GOLDEN_TRACE}"),
-        "wrote BENCH_causal.json".into(),
-    ])
+    let verdict = oracle_check(&graph).and_then(|()| {
+        std::fs::write(GOLDEN_TRACE, graph.render_chrome_trace())
+            .map_err(|e| format!("write {GOLDEN_TRACE}: {e}"))?;
+        Ok(vec![format!("wrote {GOLDEN_TRACE}")])
+    });
+    (to_json(&graph), verdict)
 }
 
 #[cfg(test)]
@@ -278,12 +274,7 @@ mod tests {
         );
         assert!(!graph.rexmits.is_empty(), "losses must force retransmits");
         oracle_check(&graph).expect("fault-plan oracle");
-        let json = to_json(&graph);
-        let v = unp_trace::json::parse(&json).expect("BENCH_causal.json parses");
-        assert_eq!(
-            v.get("attribution_coverage")
-                .and_then(unp_trace::json::Value::as_f64),
-            Some(1.0)
-        );
+        let v = unp_trace::json::parse(&to_json(&graph).render()).expect("report parses");
+        assert_eq!(crate::require(&v, "attribution_coverage", 1.0), Ok(()));
     }
 }

@@ -25,6 +25,7 @@ use unp_filter::programs::DemuxSpec;
 use unp_kernel::template::HeaderTemplate;
 use unp_kernel::{DemuxStats, NetIoModule};
 use unp_tcp::TcpConfig;
+use unp_trace::json::Value;
 use unp_wire::Ipv4Repr;
 use unp_wire::{EtherType, EthernetRepr, IpProtocol, Ipv4Addr, MacAddr, SeqNum, TcpFlags, TcpRepr};
 
@@ -275,43 +276,39 @@ pub fn print_report(d: &DemuxSection) {
     println!();
 }
 
-/// Serializes the demux section as JSON (hand-rolled: the workspace is
-/// dependency-free by design).
-pub fn to_json(d: &DemuxSection) -> String {
+/// The demux section as a JSON value — `BENCH_demux.json`.
+pub fn to_json(d: &DemuxSection) -> Value {
     let w = &d.workload;
-    let mut out = String::new();
-    out.push_str("{\n  \"benchmark\": \"flow_table_demux\",\n");
-    out.push_str(&format!(
-        "  \"workload\": {{\"table\": 2, \"packets\": {}, \"flow_hits\": {}, \"listen_hits\": {}, \"scan_fallbacks\": {}, \"flow_hit_rate\": {:.4}, \"keyed_hit_rate\": {:.4}, \"avg_filter_instrs\": {:.2}}},\n",
-        w.packets,
-        w.flow_hits,
-        w.listen_hits,
-        w.scan_fallbacks,
-        w.flow_hit_rate(),
-        w.keyed_hit_rate(),
-        w.avg_filter_instrs()
-    ));
-    out.push_str("  \"scaling\": [\n");
-    for (i, p) in d.scaling.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"channels\": {}, \"flow_ns_per_packet\": {:.1}, \"scan_ns_per_packet\": {:.1}, \"scan_over_flow\": {:.2}}}{}\n",
-            p.channels,
-            p.flow_ns,
-            p.scan_ns,
-            p.scan_ns / p.flow_ns,
-            if i + 1 < d.scaling.len() { "," } else { "" }
-        ));
-    }
-    out.push_str(&format!(
-        "  ],\n  \"fast_path_flatness_8_to_512\": {:.3}\n}}\n",
-        d.fast_path_flatness()
-    ));
-    out
+    let workload = Value::obj([
+        ("table", 2u64.into()),
+        ("packets", w.packets.into()),
+        ("flow_hits", w.flow_hits.into()),
+        ("listen_hits", w.listen_hits.into()),
+        ("scan_fallbacks", w.scan_fallbacks.into()),
+        ("flow_hit_rate", w.flow_hit_rate().into()),
+        ("keyed_hit_rate", w.keyed_hit_rate().into()),
+        ("avg_filter_instrs", w.avg_filter_instrs().into()),
+    ]);
+    let point = |p: &ScalingPoint| {
+        Value::obj([
+            ("channels", p.channels.into()),
+            ("flow_ns_per_packet", p.flow_ns.into()),
+            ("scan_ns_per_packet", p.scan_ns.into()),
+            ("scan_over_flow", (p.scan_ns / p.flow_ns).into()),
+        ])
+    };
+    Value::obj([
+        ("benchmark", "flow_table_demux".into()),
+        ("workload", workload),
+        ("scaling", d.scaling.iter().map(point).collect()),
+        ("fast_path_flatness_8_to_512", d.fast_path_flatness().into()),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unp_trace::json::parse;
 
     #[test]
     fn populated_module_hits_last_channel_on_flow_path() {
@@ -379,13 +376,14 @@ mod tests {
                 })
                 .collect(),
         };
-        let j = to_json(&d);
-        assert!(j.contains("\"fast_path_flatness_8_to_512\""));
-        assert!(j.contains("\"channels\": 512"));
+        let v = parse(&to_json(&d).render()).expect("report parses");
+        let last = v
+            .get("scaling")
+            .and_then(Value::items)
+            .and_then(<[_]>::last);
         assert_eq!(
-            j.matches('{').count(),
-            j.matches('}').count(),
-            "unbalanced JSON"
+            last.and_then(|p| p.get("channels")).and_then(Value::as_u64),
+            Some(512)
         );
     }
 }

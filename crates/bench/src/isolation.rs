@@ -14,8 +14,9 @@
 //! * every quota drop is causally attributed to the hostile tenant,
 //! * zero resources leak after the hostile tenant's wedged crash.
 //!
-//! `BENCH_isolation.json` records the measured ratios so the summary
-//! artifact (and a reviewer) can see how much headroom the envelope has.
+//! `BENCH_isolation.json` records the measured ratios, showing how much
+//! headroom the envelope has; the gate takes its
+//! zero-misattribution verdict from that report.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -27,6 +28,7 @@ use unp_core::{build_hosts, BulkSender, Network, OrgKind, SinkApp, TransferStats
 use unp_kernel::TenantBudget;
 use unp_tcp::TcpConfig;
 use unp_trace::causal::{CausalGraph, Loss};
+use unp_trace::json::Value;
 use unp_trace::profile::Profile;
 use unp_trace::Ctr;
 
@@ -257,11 +259,18 @@ pub fn run_scenario(hostile: bool) -> RunMeasure {
     }
 }
 
-/// The gate: runs baseline + hostile, checks the envelope, and returns
-/// the report lines (Err = gate failure text).
-pub fn gate() -> Result<(Vec<String>, String), String> {
+/// The gate: runs baseline + hostile and returns the
+/// `BENCH_isolation.json` report with the envelope verdict (Ok holds the
+/// lines to print, Err the failure text).
+pub fn gate() -> (Value, Result<Vec<String>, String>) {
     let base = run_scenario(false);
     let hot = run_scenario(true);
+    let report = to_json(&base, &hot);
+    let verdict = envelope(&base, &hot, &report);
+    (report, verdict)
+}
+
+fn envelope(base: &RunMeasure, hot: &RunMeasure, report: &Value) -> Result<Vec<String>, String> {
     let mut lines = Vec::new();
 
     if base.quota_drops != 0 || base.tx_rejections != 0 {
@@ -288,15 +297,13 @@ pub fn gate() -> Result<(Vec<String>, String), String> {
             "quota drop attributed to tenant {t}, want {HOSTILE}"
         ));
     }
+    crate::require(report, "quota_drops_misattributed", 0.0)?;
     lines.push(format!(
         "isolation gate: {} quota drops + {} tx rejections, all attributed to tenant {}",
         hot.quota_drops, hot.tx_rejections, HOSTILE
     ));
 
-    let mut tput_ratio_min = f64::INFINITY;
     for (i, (&(tb, lb), &(th, lh))) in base.innocents.iter().zip(&hot.innocents).enumerate() {
-        let ratio = th / tb;
-        tput_ratio_min = tput_ratio_min.min(ratio);
         if th < 0.6 * tb {
             return Err(format!(
                 "innocent {i} throughput {th:.0} bps < 60% of baseline {tb:.0}"
@@ -311,7 +318,7 @@ pub fn gate() -> Result<(Vec<String>, String), String> {
             "  innocent {i}: throughput {:.2} Mb/s vs {:.2} baseline ({:.0}%)",
             th / 1e6,
             tb / 1e6,
-            ratio * 100.0
+            th / tb * 100.0
         ));
     }
     let p99_bound = 5 * base.p99_ns / 2 + 5_000_000;
@@ -328,41 +335,32 @@ pub fn gate() -> Result<(Vec<String>, String), String> {
         p99_bound as f64 / 1e6
     ));
 
-    let json = to_json(&base, &hot, tput_ratio_min);
-    Ok((lines, json))
+    Ok(lines)
 }
 
 /// `BENCH_isolation.json`: the measured envelope headroom.
-pub fn to_json(base: &RunMeasure, hot: &RunMeasure, tput_ratio_min: f64) -> String {
-    let mut out = String::from("{\n  \"benchmark\": \"isolation\",\n");
-    out.push_str(&format!(
-        "  \"innocent_tenants\": {INNOCENTS},\n  \"hostile_tenant\": {HOSTILE},\n  \"seed\": {SEED},\n"
-    ));
-    out.push_str(&format!(
-        "  \"quota_drops\": {},\n  \"tx_rejections\": {},\n  \"quota_drops_misattributed\": {},\n",
-        hot.quota_drops,
-        hot.tx_rejections,
-        hot.quota_loss_tenants
-            .iter()
-            .filter(|&&t| t != HOSTILE)
-            .count()
-    ));
-    out.push_str(&format!(
-        "  \"throughput_ratio_min\": {:.4},\n  \"p99_baseline_ns\": {},\n  \"p99_hostile_ns\": {},\n  \"p99_ratio\": {:.4},\n",
-        tput_ratio_min,
-        base.p99_ns,
-        hot.p99_ns,
-        hot.p99_ns as f64 / base.p99_ns.max(1) as f64
-    ));
-    out.push_str("  \"innocents\": [");
-    for (i, (&(tb, _), &(th, _))) in base.innocents.iter().zip(&hot.innocents).enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "{{\"baseline_bps\": {tb:.0}, \"hostile_bps\": {th:.0}}}"
-        ));
-    }
-    out.push_str("]\n}\n");
-    out
+pub fn to_json(base: &RunMeasure, hot: &RunMeasure) -> Value {
+    let pairs = || base.innocents.iter().zip(&hot.innocents);
+    let ratio_min = pairs()
+        .map(|(&(tb, _), &(th, _))| th / tb)
+        .fold(f64::INFINITY, f64::min);
+    let innocent = |(&(tb, _), &(th, _)): (&(f64, u64), &(f64, u64))| {
+        Value::obj([("baseline_bps", tb.into()), ("hostile_bps", th.into())])
+    };
+    let misattributed = hot.quota_loss_tenants.iter().filter(|&&t| t != HOSTILE);
+    let p99_ratio = hot.p99_ns as f64 / base.p99_ns.max(1) as f64;
+    Value::obj([
+        ("benchmark", "isolation".into()),
+        ("innocent_tenants", INNOCENTS.into()),
+        ("hostile_tenant", HOSTILE.into()),
+        ("seed", SEED.into()),
+        ("quota_drops", hot.quota_drops.into()),
+        ("tx_rejections", hot.tx_rejections.into()),
+        ("quota_drops_misattributed", misattributed.count().into()),
+        ("throughput_ratio_min", ratio_min.into()),
+        ("p99_baseline_ns", base.p99_ns.into()),
+        ("p99_hostile_ns", hot.p99_ns.into()),
+        ("p99_ratio", p99_ratio.into()),
+        ("innocents", pairs().map(innocent).collect()),
+    ])
 }

@@ -13,7 +13,20 @@ pub mod isolation;
 pub mod monitor;
 pub mod profile;
 pub mod scale;
-pub mod summary;
 pub mod tables;
 pub mod timings;
 pub mod trace;
+
+use unp_trace::json::Value;
+
+/// A gate's check on the report it writes: the top-level number `key`
+/// must be exactly `want`. The error names what the report holds.
+pub fn require(report: &Value, key: &str, want: f64) -> Result<(), String> {
+    match report.get(key) {
+        Some(Value::Num(n)) if *n == want => Ok(()),
+        got => Err(format!(
+            "report field {key} is {}, want {want}",
+            got.map_or("missing".into(), Value::render)
+        )),
+    }
+}

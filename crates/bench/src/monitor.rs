@@ -29,11 +29,12 @@ use unp_core::world::{connect, install_faults, listen};
 use unp_core::{build_two_hosts, BulkSender, Network, OrgKind, SinkApp, TransferStats};
 use unp_kernel::Delivery;
 use unp_tcp::TcpConfig;
+use unp_trace::json::Value;
 use unp_trace::monitor::mutations::{self, BugClass};
 use unp_trace::{CheckStats, Monitor, Record};
 use unp_wire::Ipv4Addr;
 
-use crate::causal::{lossy_journal, CAUSAL_LOSS, CAUSAL_PACKET, CAUSAL_SEED, CAUSAL_TOTAL};
+use crate::causal::{lossy_journal, workload_json, CAUSAL_PACKET, CAUSAL_SEED, CAUSAL_TOTAL};
 use crate::scale::{frame_to, mixed_spec, scale_module, SCALE_COUNTS};
 
 /// Monitor-on wall-clock must stay within this factor of monitor-off on
@@ -363,73 +364,93 @@ pub fn print_report(r: &MonitorReport) {
     println!();
 }
 
-/// Serializes the report (hand-rolled JSON; the workspace is
-/// dependency-free by design) — `BENCH_monitor.json`.
-pub fn to_json(r: &MonitorReport) -> String {
-    let mut out = String::from("{\n  \"benchmark\": \"monitor\",\n");
-    out.push_str(&format!(
-        "  \"golden_violations\": {},\n",
-        r.golden_violations()
-    ));
-    out.push_str(&format!(
-        "  \"workload\": {{\"table\": 2, \"total_bytes\": {CAUSAL_TOTAL}, \"user_packet\": {CAUSAL_PACKET}, \"seed\": {CAUSAL_SEED}, \"loss\": {CAUSAL_LOSS}}},\n"
-    ));
-    out.push_str(&format!(
-        "  \"golden\": {{\"lossy_violations\": {}, \"clean_violations\": {}, \"live_violations\": {}}},\n",
-        r.lossy_violations, r.clean_violations, r.live_violations
-    ));
+/// The report as a JSON value — `BENCH_monitor.json`.
+pub fn to_json(r: &MonitorReport) -> Value {
     let c = &r.checked;
-    out.push_str(&format!(
-        "  \"checked\": {{\"tcp_acks\": {}, \"transitions\": {}, \"rexmits\": {}, \"ring_events\": {}, \"pool_events\": {}, \"demux_classifies\": {}, \"quota_drops\": {}}},\n",
-        c.tcp_acks, c.transitions, c.rexmits, c.ring_events, c.pool_events, c.demux_classifies, c.quota_drops
-    ));
-    out.push_str(&format!(
-        "  \"mutations\": {{\"classes\": {}, \"caught\": {}, \"per_class\": {{",
-        r.mutations.len(),
-        r.mutations_caught()
-    ));
-    for (i, (class, n)) in r.mutations.iter().enumerate() {
-        out.push_str(&format!(
-            "{}\"{}\": {n}",
-            if i > 0 { ", " } else { "" },
-            class.label()
-        ));
-    }
-    out.push_str("}},\n");
-    out.push_str(&format!(
-        "  \"overhead\": {{\"ratio\": {:.4}, \"bound\": {OVERHEAD_BOUND}, \"off_secs\": {:.4}, \"on_secs\": {:.4}, \"attempts\": {}}},\n",
-        r.overhead_ratio, r.off_secs, r.on_secs, r.overhead_attempts
-    ));
-    out.push_str(&format!(
-        "  \"recorder\": {{\"capacity_per_host\": {DEMO_RECORDER_CAP}, \"postmortem_records\": {}, \"occupancy\": {}}},\n",
-        r.postmortem_records, r.recorder_occupancy
-    ));
-    out.push_str(&format!(
-        "  \"scale\": {{\"sample_frames\": {SCALE_SAMPLE}, \"peak_observer_mem_bytes\": {}, \"points\": [\n",
-        r.peak_observer_mem()
-    ));
-    for (i, p) in r.scale.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"channels\": {}, \"sampled\": {}, \"ring_events\": {}, \"monitor_mem_bytes\": {}, \"violations\": {}}}{}\n",
-            p.channels,
-            p.sampled,
-            p.ring_events,
-            p.monitor_mem_bytes,
-            p.violations,
-            if i + 1 < r.scale.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]}\n}\n");
-    out
+    let point = |p: &ScaleMonPoint| {
+        Value::obj([
+            ("channels", p.channels.into()),
+            ("sampled", p.sampled.into()),
+            ("ring_events", p.ring_events.into()),
+            ("monitor_mem_bytes", p.monitor_mem_bytes.into()),
+            ("violations", p.violations.into()),
+        ])
+    };
+    Value::obj([
+        ("benchmark", "monitor".into()),
+        ("golden_violations", r.golden_violations().into()),
+        ("workload", workload_json()),
+        (
+            "golden",
+            Value::obj([
+                ("lossy_violations", r.lossy_violations.into()),
+                ("clean_violations", r.clean_violations.into()),
+                ("live_violations", r.live_violations.into()),
+            ]),
+        ),
+        (
+            "checked",
+            Value::obj([
+                ("tcp_acks", c.tcp_acks.into()),
+                ("transitions", c.transitions.into()),
+                ("rexmits", c.rexmits.into()),
+                ("ring_events", c.ring_events.into()),
+                ("pool_events", c.pool_events.into()),
+                ("demux_classifies", c.demux_classifies.into()),
+                ("quota_drops", c.quota_drops.into()),
+            ]),
+        ),
+        (
+            "mutations",
+            Value::obj([
+                ("classes", r.mutations.len().into()),
+                ("caught", r.mutations_caught().into()),
+                (
+                    "per_class",
+                    Value::obj(
+                        r.mutations
+                            .iter()
+                            .map(|(class, n)| (class.label(), (*n).into())),
+                    ),
+                ),
+            ]),
+        ),
+        (
+            "overhead",
+            Value::obj([
+                ("ratio", r.overhead_ratio.into()),
+                ("bound", OVERHEAD_BOUND.into()),
+                ("off_secs", r.off_secs.into()),
+                ("on_secs", r.on_secs.into()),
+                ("attempts", r.overhead_attempts.into()),
+            ]),
+        ),
+        (
+            "recorder",
+            Value::obj([
+                ("capacity_per_host", DEMO_RECORDER_CAP.into()),
+                ("postmortem_records", r.postmortem_records.into()),
+                ("occupancy", r.recorder_occupancy.into()),
+            ]),
+        ),
+        (
+            "scale",
+            Value::obj([
+                ("sample_frames", SCALE_SAMPLE.into()),
+                ("peak_observer_mem_bytes", r.peak_observer_mem().into()),
+                ("points", r.scale.iter().map(point).collect()),
+            ]),
+        ),
+    ])
 }
 
-/// The CI gate body: every leg must hold. Returns the verdict lines to
-/// print on success.
-pub fn gate(r: &MonitorReport) -> Result<Vec<String>, String> {
-    if r.golden_violations() != 0 {
+/// The CI gate body: every leg must hold, and the zero-violation verdict
+/// is read from `report`, the `BENCH_monitor.json` value written for
+/// `r`. Returns the verdict lines to print on success.
+pub fn gate(r: &MonitorReport, report: &Value) -> Result<Vec<String>, String> {
+    if let Err(e) = crate::require(report, "golden_violations", 0.0) {
         return Err(format!(
-            "conformant runs flagged {} violations (lossy {}, clean {}, live {}, scale {})",
-            r.golden_violations(),
+            "conformant runs flagged violations: {e} (lossy {}, clean {}, live {}, scale {})",
             r.lossy_violations,
             r.clean_violations,
             r.live_violations,
@@ -586,22 +607,17 @@ mod tests {
                 violations: 0,
             }],
         };
-        let j = to_json(&r);
-        let v = unp_trace::json::parse(&j).expect("monitor json parses");
-        assert_eq!(
-            v.get("golden_violations")
-                .and_then(unp_trace::json::Value::as_u64),
-            Some(0)
-        );
+        let v = unp_trace::json::parse(&to_json(&r).render()).expect("report parses");
+        assert_eq!(v, to_json(&r));
         assert_eq!(
             v.get("scale")
                 .and_then(|s| s.get("peak_observer_mem_bytes"))
-                .and_then(unp_trace::json::Value::as_u64),
+                .and_then(Value::as_u64),
             Some(1024)
         );
-        assert!(gate(&r).is_ok());
+        assert!(gate(&r, &v).is_ok());
         let mut bad = r;
         bad.lossy_violations = 1;
-        assert!(gate(&bad).is_err());
+        assert!(gate(&bad, &to_json(&bad)).is_err());
     }
 }

@@ -33,12 +33,13 @@ use unp_core::world::{connect, listen};
 use unp_core::{build_two_hosts, BulkSender, Network, OrgKind, SinkApp, TransferStats};
 use unp_sim::CostModel;
 use unp_tcp::TcpConfig;
+use unp_trace::json::{parse, Value};
 use unp_trace::profile::{PathOutcome, Profile, Stage};
 use unp_wire::Ipv4Addr;
 
 use crate::demux::{populated_module, spec_for, template_for, time_ns};
 use crate::tables::T2_SIZES;
-use crate::trace::wakeup_model;
+use crate::trace::{table2_workload, wakeup_model};
 
 /// The channel counts the churn sweep visits (the ISSUE's 8→4096 span).
 pub const CHURN_COUNTS: [usize; 4] = [8, 64, 512, 4096];
@@ -287,90 +288,74 @@ pub fn print_report(rows: &[ProfileRow], churn: &[ChurnPoint]) {
     println!();
 }
 
-/// Serializes the full profile report as JSON (hand-rolled: the
-/// workspace is dependency-free by design) — `BENCH_profile.json`.
-pub fn to_json(rows: &[ProfileRow], churn: &[ChurnPoint], total: u64) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"benchmark\": \"critical_path_profile\",\n");
-    out.push_str(&format!(
-        "  \"workload\": {{\"table\": 2, \"org\": \"user_library\", \"network\": \"ethernet\", \"total_bytes\": {total}}},\n"
-    ));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
+/// The full profile report as a JSON value — `BENCH_profile.json`.
+pub fn to_json(rows: &[ProfileRow], churn: &[ChurnPoint], total: u64) -> Value {
+    let row = |r: &ProfileRow| {
         let p = &r.profile;
-        out.push_str(&format!(
-            "    {{\"user_packet\": {}, \"delivered\": {}, \"wakeup_exact\": {}, \"wakeup_scooped\": {}, \"wakeup_over\": {},\n",
-            r.user_packet, p.delivered(), r.wakeup_exact, r.wakeup_scooped, r.wakeup_over
-        ));
-        out.push_str("     \"stage_mean_ns\": {");
-        for (j, &s) in Stage::ALL.iter().skip(1).enumerate() {
-            out.push_str(&format!(
-                "{}\"{}\": {:.1}",
-                if j > 0 { ", " } else { "" },
-                s.label(),
-                p.stages[s as usize].mean().unwrap_or(0.0)
-            ));
-        }
-        out.push_str(&format!(
-            "}},\n     \"end_to_end_mean_ns\": {:.1}}}{}\n",
-            p.end_to_end.mean().unwrap_or(0.0),
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"churn\": [\n");
-    for (i, c) in churn.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"channels\": {}, \"rebuild_active_ns\": {:.1}, \"churn_cycle_ns\": {:.1}, \"flow_classify_ns\": {:.1}, \"scan_classify_ns\": {:.1}, \"flow_table_len\": {}}}{}\n",
-            c.channels,
-            c.rebuild_ns,
-            c.churn_ns,
-            c.flow_ns,
-            c.scan_ns,
-            c.flow_table_len,
-            if i + 1 < churn.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&gate_json_body(rows));
-    out.push_str("}\n");
-    out
+        let stage_means = Stage::ALL.iter().skip(1).map(|&s| {
+            let mean = p.stages[s as usize].mean().unwrap_or(0.0);
+            (s.label(), mean.into())
+        });
+        Value::obj([
+            ("user_packet", r.user_packet.into()),
+            ("delivered", p.delivered().into()),
+            ("wakeup_exact", r.wakeup_exact.into()),
+            ("wakeup_scooped", r.wakeup_scooped.into()),
+            ("wakeup_over", r.wakeup_over.into()),
+            ("stage_mean_ns", Value::obj(stage_means)),
+            (
+                "end_to_end_mean_ns",
+                p.end_to_end.mean().unwrap_or(0.0).into(),
+            ),
+        ])
+    };
+    let point = |c: &ChurnPoint| {
+        Value::obj([
+            ("channels", c.channels.into()),
+            ("rebuild_active_ns", c.rebuild_ns.into()),
+            ("churn_cycle_ns", c.churn_ns.into()),
+            ("flow_classify_ns", c.flow_ns.into()),
+            ("scan_classify_ns", c.scan_ns.into()),
+            ("flow_table_len", c.flow_table_len.into()),
+        ])
+    };
+    Value::obj([
+        ("benchmark", "critical_path_profile".into()),
+        ("workload", table2_workload(total)),
+        ("rows", rows.iter().map(row).collect()),
+        ("churn", churn.iter().map(point).collect()),
+        ("gate", gate_json(rows)),
+    ])
 }
 
-fn gate_json_body(rows: &[ProfileRow]) -> String {
-    let mut out = String::from("  \"gate\": {\"stage_mean_ns\": {");
-    for (i, (label, mean)) in gate_means(rows).iter().enumerate() {
-        out.push_str(&format!(
-            "{}\"{label}\": {mean:.1}",
-            if i > 0 { ", " } else { "" }
-        ));
-    }
-    out.push_str("}}\n");
-    out
+fn gate_json(rows: &[ProfileRow]) -> Value {
+    let means = gate_means(rows).into_iter().map(|(s, m)| (s, m.into()));
+    Value::obj([("stage_mean_ns", Value::obj(means))])
 }
 
 /// The committed-baseline file: just the gated means.
-pub fn baseline_json(rows: &[ProfileRow]) -> String {
-    format!("{{\n{}}}\n", gate_json_body(rows))
+pub fn baseline_json(rows: &[ProfileRow]) -> Value {
+    Value::obj([("gate", gate_json(rows))])
 }
 
-/// Compares current gate means against a committed baseline's JSON text.
-/// Returns warnings (improvements past the band — refresh the baseline)
-/// or an error describing the first regression past the band.
+/// Compares current gate means against a baseline's JSON text — a
+/// baseline file or a full `BENCH_profile.json`; either way the means
+/// are read from `gate.stage_mean_ns`. Returns warnings (improvements
+/// past the band — refresh the baseline) or an error describing the
+/// first regression past the band.
 pub fn check_gate(current: &[(&'static str, f64)], baseline: &str) -> Result<Vec<String>, String> {
+    let doc = parse(baseline).map_err(|e| format!("baseline is not valid JSON: {e}"))?;
+    let means = doc
+        .get("gate")
+        .and_then(|g| g.get("stage_mean_ns"))
+        .ok_or("baseline has no gate.stage_mean_ns section")?;
     let mut warnings = Vec::new();
     for &(label, cur) in current {
-        let needle = format!("\"{label}\":");
-        let Some(pos) = baseline.find(&needle) else {
-            return Err(format!("baseline has no entry for stage \"{label}\""));
-        };
-        let rest = baseline[pos + needle.len()..].trim_start();
-        let num: String = rest
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.')
-            .collect();
-        let base: f64 = num
-            .parse()
-            .map_err(|_| format!("unparseable baseline value for \"{label}\""))?;
+        let base = means
+            .get(label)
+            .ok_or_else(|| format!("baseline has no entry for stage \"{label}\""))?
+            .as_f64()
+            .ok_or_else(|| format!("baseline value for \"{label}\" is not a number"))?;
         if base == 0.0 {
             continue;
         }
@@ -430,6 +415,22 @@ mod tests {
         assert_eq!(warns.len(), 1);
         // A missing stage is an error, not a silent pass.
         assert!(check_gate(&[("ring_enqueue", 1.0)], baseline).is_err());
+    }
+
+    #[test]
+    fn gate_reads_the_gate_section_of_a_full_report() {
+        // A full BENCH_profile.json carries per-row stage means before
+        // the gate section; only `gate.stage_mean_ns` is the baseline.
+        let report = r#"{
+          "rows": [{"user_packet": 512, "stage_mean_ns": {"demux_classify": 50.0, "end_to_end": 500.0}}],
+          "gate": {"stage_mean_ns": {"demux_classify": 100.0, "end_to_end": 1000.0}}
+        }"#;
+        let means = vec![("demux_classify", 100.0), ("end_to_end", 1000.0)];
+        assert_eq!(check_gate(&means, report), Ok(vec![]));
+        let bad = vec![("demux_classify", 106.0), ("end_to_end", 1000.0)];
+        assert!(check_gate(&bad, report).is_err());
+        assert!(check_gate(&means, r#"{"rows": []}"#).is_err());
+        assert!(check_gate(&means, "[[[").is_err());
     }
 
     #[test]

@@ -20,6 +20,7 @@
 use unp_buffers::OwnerTag;
 use unp_filter::programs::DemuxSpec;
 use unp_kernel::{DemuxPath, NetIoModule};
+use unp_trace::json::Value;
 use unp_wire::Ipv4Repr;
 use unp_wire::{EtherType, EthernetRepr, IpProtocol, Ipv4Addr, MacAddr, SeqNum, TcpFlags, TcpRepr};
 
@@ -287,32 +288,31 @@ pub fn print_report(points: &[ScalePoint]) {
     println!();
 }
 
-/// Serializes the sweep as JSON (hand-rolled: the workspace is
-/// dependency-free by design) — `BENCH_demux_scale.json`.
-pub fn to_json(points: &[ScalePoint]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"benchmark\": \"demux_scale\",\n");
-    out.push_str(&format!(
-        "  \"mix\": {{\"period\": {MIX_PERIOD}, \"listen_per_period\": 1, \"residual_per_period\": 1}},\n"
-    ));
-    out.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"channels\": {}, \"churn_cycle_ns\": {:.1}, \"rebuild_active_ns\": {:.1}, \"flow_classify_ns\": {:.1}, \"listen_classify_ns\": {:.1}, \"scan_classify_ns\": {:.1}, \"flow_table_len\": {}, \"listen_table_len\": {}, \"demux_mem_bytes\": {}}}{}\n",
-            p.channels,
-            p.churn_ns,
-            p.rebuild_ns,
-            p.flow_ns,
-            p.listen_ns,
-            p.scan_ns,
-            p.flow_table_len,
-            p.listen_table_len,
-            p.mem_bytes,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// The sweep as a JSON value — `BENCH_demux_scale.json`.
+pub fn to_json(points: &[ScalePoint]) -> Value {
+    let mix = Value::obj([
+        ("period", MIX_PERIOD.into()),
+        ("listen_per_period", 1u64.into()),
+        ("residual_per_period", 1u64.into()),
+    ]);
+    let point = |p: &ScalePoint| {
+        Value::obj([
+            ("channels", p.channels.into()),
+            ("churn_cycle_ns", p.churn_ns.into()),
+            ("rebuild_active_ns", p.rebuild_ns.into()),
+            ("flow_classify_ns", p.flow_ns.into()),
+            ("listen_classify_ns", p.listen_ns.into()),
+            ("scan_classify_ns", p.scan_ns.into()),
+            ("flow_table_len", p.flow_table_len.into()),
+            ("listen_table_len", p.listen_table_len.into()),
+            ("demux_mem_bytes", p.mem_bytes.into()),
+        ])
+    };
+    Value::obj([
+        ("benchmark", "demux_scale".into()),
+        ("mix", mix),
+        ("points", points.iter().map(point).collect()),
+    ])
 }
 
 /// The CI churn-scaling gate: per-event churn must not scale with the
@@ -345,6 +345,7 @@ pub fn churn_gate_measure() -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unp_trace::json::parse;
 
     #[test]
     fn scale_module_tiers_resolve_and_agree() {
@@ -384,13 +385,16 @@ mod tests {
             listen_table_len: 1,
             mem_bytes: 4096,
         }];
-        let j = to_json(&points);
-        assert!(j.contains("\"demux_mem_bytes\": 4096"));
-        assert!(j.contains("\"listen_classify_ns\": 55.0"));
+        let v = parse(&to_json(&points).render()).expect("report parses");
+        let first = v
+            .get("points")
+            .and_then(Value::items)
+            .and_then(<[_]>::first);
         assert_eq!(
-            j.matches('{').count(),
-            j.matches('}').count(),
-            "unbalanced JSON"
+            first
+                .and_then(|p| p.get("demux_mem_bytes"))
+                .and_then(Value::as_u64),
+            Some(4096)
         );
     }
 }

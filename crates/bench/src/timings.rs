@@ -16,6 +16,7 @@ use unp_buffers::{frame_stats, reset_frame_stats, FramePool, FrameStats};
 use unp_core::world::{connect, listen};
 use unp_core::{build_two_hosts, BulkSender, Network, OrgKind, SinkApp, TransferStats};
 use unp_tcp::TcpConfig;
+use unp_trace::json::Value;
 use unp_wire::Ipv4Addr;
 
 /// One timed table reproduction.
@@ -171,53 +172,64 @@ pub fn print_report(timings: &[Timing], cmp: &PoolComparison) {
     println!();
 }
 
-fn json_stats(s: &FrameStats) -> String {
-    format!(
-        "{{\"frames_fresh\": {}, \"frames_recycled\": {}, \"cow_copies\": {}, \"bytes_copied\": {}}}",
-        s.frames_fresh, s.frames_recycled, s.cow_copies, s.bytes_copied
-    )
+fn stats_json(s: &FrameStats) -> Value {
+    Value::obj([
+        ("frames_fresh", s.frames_fresh.into()),
+        ("frames_recycled", s.frames_recycled.into()),
+        ("cow_copies", s.cow_copies.into()),
+        ("bytes_copied", s.bytes_copied.into()),
+    ])
 }
 
-/// Serializes the report as JSON (hand-rolled: the workspace is
-/// dependency-free by design).
-pub fn to_json(timings: &[Timing], cmp: &PoolComparison) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"benchmark\": \"zero_copy_frame_path\",\n  \"tables\": [\n");
-    for (i, t) in timings.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"wall_ms\": {:.3}, \"events\": {}, \"frames\": {}}}{}\n",
-            t.name,
-            t.wall_ms,
-            t.events,
-            json_stats(&t.stats),
-            if i + 1 < timings.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"pool_comparison\": {\n");
-    out.push_str(&format!(
-        "    \"workload\": {{\"table\": 2, \"user_packet\": {}, \"total_bytes\": {}}},\n",
-        cmp.user_packet, cmp.total_bytes
-    ));
-    for (label, run) in [("pooled", &cmp.pooled), ("unpooled", &cmp.unpooled)] {
-        out.push_str(&format!(
-            "    \"{label}\": {{\"throughput_mbps\": {:.3}, \"frames\": {}}},\n",
-            run.throughput_mbps,
-            json_stats(&run.stats)
-        ));
-    }
-    out.push_str(&format!(
-        "    \"pooled_allocs_per_frame\": {:.4},\n    \"unpooled_allocs_per_frame\": {:.4},\n    \"alloc_reduction_factor\": {:.2}\n",
-        cmp.pooled_allocs_per_frame(),
-        cmp.unpooled_allocs_per_frame(),
-        cmp.alloc_reduction_factor()
-    ));
-    out.push_str("  }\n}\n");
-    out
+/// The report as a JSON value — `BENCH_zero_copy.json`.
+pub fn to_json(timings: &[Timing], cmp: &PoolComparison) -> Value {
+    let table = |t: &Timing| {
+        Value::obj([
+            ("name", t.name.into()),
+            ("wall_ms", t.wall_ms.into()),
+            ("events", t.events.into()),
+            ("frames", stats_json(&t.stats)),
+        ])
+    };
+    let run = |r: &PoolRun| {
+        Value::obj([
+            ("throughput_mbps", r.throughput_mbps.into()),
+            ("frames", stats_json(&r.stats)),
+        ])
+    };
+    let workload = Value::obj([
+        ("table", 2u64.into()),
+        ("user_packet", cmp.user_packet.into()),
+        ("total_bytes", cmp.total_bytes.into()),
+    ]);
+    let comparison = Value::obj([
+        ("workload", workload),
+        ("pooled", run(&cmp.pooled)),
+        ("unpooled", run(&cmp.unpooled)),
+        (
+            "pooled_allocs_per_frame",
+            cmp.pooled_allocs_per_frame().into(),
+        ),
+        (
+            "unpooled_allocs_per_frame",
+            cmp.unpooled_allocs_per_frame().into(),
+        ),
+        (
+            "alloc_reduction_factor",
+            cmp.alloc_reduction_factor().into(),
+        ),
+    ]);
+    Value::obj([
+        ("benchmark", "zero_copy_frame_path".into()),
+        ("tables", timings.iter().map(table).collect()),
+        ("pool_comparison", comparison),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unp_trace::json::parse;
 
     #[test]
     fn pool_halves_allocations_on_bulk_workload() {
@@ -246,14 +258,12 @@ mod tests {
             stats: FrameStats::default(),
         }];
         let cmp = pool_comparison(1024, 50_000);
-        let j = to_json(&t, &cmp);
-        assert!(j.contains("\"alloc_reduction_factor\""));
-        assert!(j.contains("\"table2\""));
-        // Balanced braces — cheap well-formedness check without a parser.
+        let v = parse(&to_json(&t, &cmp).render()).expect("report parses");
         assert_eq!(
-            j.matches('{').count(),
-            j.matches('}').count(),
-            "unbalanced JSON"
+            v.get("pool_comparison")
+                .and_then(|c| c.get("alloc_reduction_factor"))
+                .and_then(Value::as_f64),
+            Some(cmp.alloc_reduction_factor())
         );
     }
 }

@@ -33,6 +33,7 @@ use unp_core::world::{connect, listen};
 use unp_core::{build_two_hosts, BulkSender, Network, OrgKind, SinkApp, TransferStats};
 use unp_sim::{CostModel, DemuxPath, Nanos};
 use unp_tcp::TcpConfig;
+use unp_trace::json::Value;
 use unp_trace::{Dir, Event, Record};
 use unp_wire::Ipv4Addr;
 
@@ -303,51 +304,59 @@ pub fn print_report(rows: &[TraceRow]) {
     println!();
 }
 
-/// Serializes the rows as JSON (hand-rolled: the workspace is
-/// dependency-free by design).
-pub fn to_json(rows: &[TraceRow], total: u64) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"benchmark\": \"packet_lifecycle_trace\",\n");
-    out.push_str(&format!(
-        "  \"workload\": {{\"table\": 2, \"org\": \"user_library\", \"network\": \"ethernet\", \"total_bytes\": {total}}},\n"
-    ));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"user_packet\": {}, \"ring_enqueues\": {}, \"signaled\": {}, \"batched\": {},\n",
-            r.user_packet, r.ring_enqueues, r.signaled, r.batched
-        ));
-        out.push_str(&format!(
-            "     \"wakeup\": {{\"count\": {}, \"model_matches\": {}, \"scooped\": {}, \"min_ns\": {}, \"mean_ns\": {:.1}, \"max_ns\": {}}},\n",
-            r.wakeup.count,
-            r.wakeup_model_matches,
-            r.wakeup_scooped,
-            r.wakeup.min,
-            r.wakeup.mean(),
-            r.wakeup.max
-        ));
-        out.push_str(&format!(
-            "     \"proc\": {{\"count\": {}, \"model_full_ns\": {}, \"ge_model\": {}, \"min_ns\": {}, \"mean_ns\": {:.1}, \"max_ns\": {}}},\n",
-            r.proc.count,
-            r.proc_model,
-            r.proc_ge_model,
-            r.proc.min,
-            r.proc.mean(),
-            r.proc.max
-        ));
-        out.push_str(&format!(
-            "     \"app_bytes\": {}}}{}\n",
-            r.app_bytes,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// The rows as a JSON value — `BENCH_trace.json`.
+pub fn to_json(rows: &[TraceRow], total: u64) -> Value {
+    let span = |s: &SpanStats, [a, b]: [(&str, Value); 2]| {
+        Value::obj([
+            ("count", s.count.into()),
+            a,
+            b,
+            ("min_ns", s.min.into()),
+            ("mean_ns", s.mean().into()),
+            ("max_ns", s.max.into()),
+        ])
+    };
+    let row = |r: &TraceRow| {
+        let wakeup = [
+            ("model_matches", r.wakeup_model_matches.into()),
+            ("scooped", r.wakeup_scooped.into()),
+        ];
+        let proc = [
+            ("model_full_ns", r.proc_model.into()),
+            ("ge_model", r.proc_ge_model.into()),
+        ];
+        Value::obj([
+            ("user_packet", r.user_packet.into()),
+            ("ring_enqueues", r.ring_enqueues.into()),
+            ("signaled", r.signaled.into()),
+            ("batched", r.batched.into()),
+            ("wakeup", span(&r.wakeup, wakeup)),
+            ("proc", span(&r.proc, proc)),
+            ("app_bytes", r.app_bytes.into()),
+        ])
+    };
+    Value::obj([
+        ("benchmark", "packet_lifecycle_trace".into()),
+        ("workload", table2_workload(total)),
+        ("rows", rows.iter().map(row).collect()),
+    ])
+}
+
+/// The `workload` block shared by the trace and profile reports: the
+/// Table-2 bulk transfer, user-library organization over Ethernet.
+pub fn table2_workload(total: u64) -> Value {
+    Value::obj([
+        ("table", 2u64.into()),
+        ("org", "user_library".into()),
+        ("network", "ethernet".into()),
+        ("total_bytes", total.into()),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unp_trace::json::parse;
 
     #[test]
     fn traced_run_matches_the_model() {
@@ -375,12 +384,10 @@ mod tests {
     #[test]
     fn json_is_shaped() {
         let rows = trace_section(100_000);
-        let j = to_json(&rows, 100_000);
-        assert!(j.contains("\"packet_lifecycle_trace\""));
+        let v = parse(&to_json(&rows, 100_000).render()).expect("report parses");
         assert_eq!(
-            j.matches('{').count(),
-            j.matches('}').count(),
-            "unbalanced JSON"
+            v.get("rows").and_then(Value::items).map(<[_]>::len),
+            Some(rows.len())
         );
     }
 }

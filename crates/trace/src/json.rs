@@ -1,16 +1,27 @@
-//! A minimal JSON reader (the workspace is dependency-free by design).
+//! Minimal JSON, both halves (the workspace is dependency-free by
+//! design).
 //!
-//! Every exporter in the workspace hand-rolls its JSON output; this is
-//! the matching input side, so tests can *parse* what the exporters
-//! wrote and compare structure instead of grepping substrings — schema
-//! drift then fails CI as a field mismatch, not a fuzzy string miss.
-//! `repro-tables` also uses it to fold the committed `BENCH_*.json`
-//! artifacts into the consolidated summary.
+//! Reports are built as a [`Value`] tree and written with
+//! [`Value::render`], the workspace's one JSON writer: every
+//! `BENCH_*.json` artifact goes through it, so no caller tracks commas,
+//! braces or escapes by hand. [`parse`] is the matching reader: tests and
+//! gates look fields up by path instead of grepping substrings, so schema
+//! drift fails as a field mismatch, not a fuzzy string miss, and
+//! `parse(&v.render()) == Ok(v)` holds for every tree whose numbers are
+//! finite (a seeded test pins it). The one other JSON text in the workspace is the Chrome
+//! trace export, pinned byte for byte by its golden file.
 //!
 //! Numbers are kept as `f64` (every artifact value fits losslessly:
-//! counters stay far below 2^53) and object keys keep their file order.
+//! counters stay far below 2^53) and object keys keep their order.
 
-/// A parsed JSON value.
+use std::fmt::Write as _;
+
+/// Deepest container nesting [`parse`] accepts. Deeper input is an
+/// error, not a recursion that could exhaust the stack (`--profile-gate`
+/// parses a file named on the command line).
+const MAX_DEPTH: usize = 128;
+
+/// A JSON value, parsed or built for rendering.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// `null`.
@@ -28,6 +39,44 @@ pub enum Value {
 }
 
 impl Value {
+    /// An object from `(key, value)` pairs, keys in the given order.
+    pub fn obj<K: Into<String>>(members: impl IntoIterator<Item = (K, Value)>) -> Value {
+        Value::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// Renders the value as JSON text in one fixed layout: a container
+    /// whose members are all scalars prints on one line, any other
+    /// non-empty container prints one member per line, indented two
+    /// spaces per level. Integral numbers print as integers, others in
+    /// Rust's shortest round-trip form; NaN and ±inf (which JSON cannot
+    /// spell) print as `null`.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0);
+        out
+    }
+
+    fn write(&self, out: &mut String, depth: usize) {
+        match self {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::Num(n) if n.is_finite() => {
+                let _ = write!(out, "{n}");
+            }
+            Value::Num(_) => out.push_str("null"),
+            Value::Str(s) => write_str(out, s),
+            Value::Arr(items) => {
+                write_members(out, depth, ('[', ']'), items.iter().map(|v| (None, v)))
+            }
+            Value::Obj(members) => write_members(
+                out,
+                depth,
+                ('{', '}'),
+                members.iter().map(|(k, v)| (Some(k.as_str()), v)),
+            ),
+        }
+    }
+
     /// Member lookup on an object (None on non-objects/missing keys).
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
@@ -82,12 +131,107 @@ impl Value {
     }
 }
 
+fn write_members<'a>(
+    out: &mut String,
+    depth: usize,
+    (open, close): (char, char),
+    members: impl Iterator<Item = (Option<&'a str>, &'a Value)> + Clone,
+) {
+    let flat = members
+        .clone()
+        .all(|(_, v)| !matches!(v, Value::Arr(_) | Value::Obj(_)));
+    let pad = |out: &mut String, depth: usize| {
+        out.push('\n');
+        out.push_str(&"  ".repeat(depth));
+    };
+    out.push(open);
+    for (i, (key, v)) in members.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        if !flat {
+            pad(out, depth + 1);
+        } else if i > 0 {
+            out.push(' ');
+        }
+        if let Some(k) = key {
+            write_str(out, k);
+            out.push_str(": ");
+        }
+        v.write(out, depth + 1);
+    }
+    if !flat {
+        pad(out, depth);
+    }
+    out.push(close);
+}
+
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if c < ' ' => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+macro_rules! from_num {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Value {
+            fn from(n: $t) -> Value {
+                Value::Num(n as f64)
+            }
+        }
+    )*};
+}
+from_num!(u64, usize, f64);
+
+impl From<bool> for Value {
+    fn from(b: bool) -> Value {
+        Value::Bool(b)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Value {
+        Value::Str(s.to_owned())
+    }
+}
+
+impl From<String> for Value {
+    fn from(s: String) -> Value {
+        Value::Str(s)
+    }
+}
+
+impl<T: Into<Value>> From<Option<T>> for Value {
+    fn from(v: Option<T>) -> Value {
+        v.map_or(Value::Null, Into::into)
+    }
+}
+
+/// Collects into an array.
+impl<T: Into<Value>> FromIterator<T> for Value {
+    fn from_iter<I: IntoIterator<Item = T>>(items: I) -> Value {
+        Value::Arr(items.into_iter().map(Into::into).collect())
+    }
+}
+
 /// Parses one JSON document. Trailing whitespace is allowed; trailing
 /// garbage is an error.
 pub fn parse(text: &str) -> Result<Value, String> {
     let b = text.as_bytes();
     let mut pos = 0;
-    let v = value(b, &mut pos)?;
+    let v = value(b, &mut pos, 0)?;
     skip_ws(b, &mut pos);
     if pos != b.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -111,11 +255,14 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
-        Some(b'{') => object(b, pos),
-        Some(b'[') => array(b, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos))
+        }
+        Some(b'{') => object(b, pos, depth + 1),
+        Some(b'[') => array(b, pos, depth + 1),
         Some(b'"') => Ok(Value::Str(string(b, pos)?)),
         Some(b't') => lit(b, pos, "true", Value::Bool(true)),
         Some(b'f') => lit(b, pos, "false", Value::Bool(false)),
@@ -199,7 +346,7 @@ fn string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     Err("unterminated string".into())
 }
 
-fn array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     expect(b, pos, b'[')?;
     let mut out = Vec::new();
     skip_ws(b, pos);
@@ -208,7 +355,7 @@ fn array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Arr(out));
     }
     loop {
-        out.push(value(b, pos)?);
+        out.push(value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -221,7 +368,7 @@ fn array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     expect(b, pos, b'{')?;
     let mut out = Vec::new();
     skip_ws(b, pos);
@@ -233,7 +380,7 @@ fn object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         skip_ws(b, pos);
         let k = string(b, pos)?;
         expect(b, pos, b':')?;
-        let v = value(b, pos)?;
+        let v = value(b, pos, depth)?;
         out.push((k, v));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -250,6 +397,7 @@ fn object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::test_runner::TestRng;
 
     #[test]
     fn parses_scalars_and_containers() {
@@ -283,25 +431,89 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_the_journal_exporter() {
-        let recs = vec![crate::Record {
-            time: 10,
-            host: Some(1),
-            frame: Some(4),
-            event: crate::Event::DemuxClassify {
-                path: crate::PathKind::FlowTable,
-                filter_instrs: 8,
-                matched: true,
-            },
-        }];
-        let v = parse(&crate::render_json(&recs)).unwrap();
-        let items = v.items().unwrap();
-        assert_eq!(items.len(), 1);
+    fn refuses_nesting_past_the_depth_limit() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(parse(&nest(MAX_DEPTH + 1)).is_err());
+        assert!(parse(&format!("{{\"a\": {}}}", nest(MAX_DEPTH))).is_err());
+        // Unbalanced and far deeper than any stack could recurse: refused
+        // with an error, not a stack overflow.
+        assert!(parse(&"[".repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn renders_one_fixed_layout() {
+        let v = Value::obj([
+            ("name", "a\"b".into()),
+            ("n", 3u64.into()),
+            ("x", 0.25.into()),
+            ("none", Option::<u64>::None.into()),
+            ("flat", Value::obj([("ok", true.into())])),
+            ("empty", Value::Arr(vec![])),
+        ]);
         assert_eq!(
-            items[0].get("event").and_then(Value::as_str),
-            Some("demux_classify")
+            v.render(),
+            "{\n  \"name\": \"a\\\"b\",\n  \"n\": 3,\n  \"x\": 0.25,\n  \"none\": null,\n  \"flat\": {\"ok\": true},\n  \"empty\": []\n}"
         );
-        assert_eq!(items[0].get("instrs").and_then(Value::as_u64), Some(8));
-        assert_eq!(items[0].get("matched").and_then(Value::as_bool), Some(true));
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(Value::Num(x).render(), "null");
+            assert_eq!(Value::Arr(vec![x.into()]).render(), "[null]");
+        }
+        assert_eq!(Value::from(1.0).render(), "1");
+        assert_eq!(Value::from(-2.5e-7).render(), "-0.00000025");
+    }
+
+    /// A random tree: every container shape (empty, flat, nested), keys
+    /// and strings with quotes, backslashes, control characters and
+    /// non-ASCII text, and numbers from raw bit patterns plus negative,
+    /// fractional, tiny and huge draws.
+    fn arbitrary(rng: &mut TestRng, depth: u32) -> Value {
+        fn text(rng: &mut TestRng) -> String {
+            const CHARS: [char; 14] = [
+                'a', 'Z', ' ', '"', '\\', '/', '\n', '\t', '\r', '\u{1}', '\u{1f}', 'é', '€', '𝄞',
+            ];
+            (0..rng.below(6))
+                .map(|_| CHARS[rng.below(CHARS.len() as u64) as usize])
+                .collect()
+        }
+        fn number(rng: &mut TestRng) -> f64 {
+            let sign = if rng.below(2) == 0 { 1.0 } else { -1.0 };
+            sign * match rng.below(5) {
+                0 => rng.below(1 << 53) as f64,
+                1 => rng.unit_f64() * 1e3,
+                2 => rng.unit_f64() * 1e-300,
+                3 => (1.0 + rng.unit_f64()) * 1e300,
+                _ => Some(f64::from_bits(rng.next_u64()))
+                    .filter(|x| x.is_finite())
+                    .unwrap_or(0.0),
+            }
+        }
+        let kinds = if depth == 0 { 4 } else { 6 };
+        match rng.below(kinds) {
+            0 => Value::Null,
+            1 => Value::Bool(rng.below(2) == 1),
+            2 => Value::Num(number(rng)),
+            3 => Value::Str(text(rng)),
+            4 => Value::Arr(
+                (0..rng.below(4))
+                    .map(|_| arbitrary(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => Value::obj(
+                (0..rng.below(4))
+                    .map(|_| (text(rng), arbitrary(rng, depth - 1)))
+                    .collect::<Vec<_>>(),
+            ),
+        }
+    }
+
+    #[test]
+    fn render_round_trips_through_parse() {
+        let mut rng = TestRng::from_seed(0x6a73_6f6e);
+        for _ in 0..2000 {
+            let v = arbitrary(&mut rng, 4);
+            let text = v.render();
+            assert_eq!(parse(&text).as_ref(), Ok(&v), "{text}");
+        }
     }
 }

@@ -555,88 +555,6 @@ impl Metrics {
     pub fn links(&self) -> impl Iterator<Item = (&(u16, u16), &LinkScope)> + '_ {
         self.links.iter()
     }
-
-    // ---- export ----
-
-    /// Serializes the registry as JSON (hand-rolled: the workspace is
-    /// dependency-free by design): non-zero counters, gauges, histogram
-    /// summaries, and the per-connection/channel/link scopes.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        let mut first = true;
-        for (name, v) in self.counters() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("\n    \"{name}\": {v}"));
-        }
-        out.push_str("\n  },\n  \"gauges\": {");
-        for (i, &g) in Gauge::ALL.iter().enumerate() {
-            out.push_str(&format!(
-                "{}\n    \"{}\": {}",
-                if i > 0 { "," } else { "" },
-                g.name(),
-                self.gauge(g)
-            ));
-        }
-        out.push_str("\n  },\n  \"histograms\": {");
-        for (i, &h) in Hist::ALL.iter().enumerate() {
-            let hist = self.hist(h);
-            out.push_str(&format!(
-                "{}\n    \"{}\": {{\"count\": {}, \"mean\": {:.1}, \"p50\": {}, \"p99\": {}, \"min\": {}, \"max\": {}}}",
-                if i > 0 { "," } else { "" },
-                h.name(),
-                hist.count(),
-                hist.mean().unwrap_or(0.0),
-                hist.quantile(0.5).unwrap_or(0),
-                hist.quantile(0.99).unwrap_or(0),
-                hist.min().unwrap_or(0),
-                hist.max().unwrap_or(0),
-            ));
-        }
-        out.push_str("\n  },\n  \"connections\": [");
-        for (i, (k, c)) in self.conns().enumerate() {
-            out.push_str(&format!(
-                "{}\n    {{\"conn\": \"{k}\", \"segs_out\": {}, \"segs_in\": {}, \"bytes_to_app\": {}, \"bytes_rexmit\": {}, \"flow_hits\": {}, \"listen_hits\": {}, \"scan_fallbacks\": {}, \"srtt_ns\": {}}}",
-                if i > 0 { "," } else { "" },
-                c.segs_out,
-                c.segs_in,
-                c.bytes_to_app,
-                c.bytes_rexmit,
-                c.flow_hits,
-                c.listen_hits,
-                c.scan_fallbacks,
-                c.srtt.map_or("null".into(), |v| v.to_string()),
-            ));
-        }
-        out.push_str("\n  ],\n  \"channels\": [");
-        for (i, ((host, id), ch)) in self.channels().enumerate() {
-            out.push_str(&format!(
-                "{}\n    {{\"host\": {host}, \"channel\": {id}, \"delivered\": {}, \"batched\": {}, \"flow_hits\": {}, \"listen_hits\": {}, \"scan_fallbacks\": {}}}",
-                if i > 0 { "," } else { "" },
-                ch.delivered,
-                ch.batched,
-                ch.flow_hits,
-                ch.listen_hits,
-                ch.scan_fallbacks,
-            ));
-        }
-        out.push_str("\n  ],\n  \"links\": [");
-        for (i, ((from, to), l)) in self.links().enumerate() {
-            out.push_str(&format!(
-                "{}\n    {{\"from\": {from}, \"to\": {to}, \"drops\": {}, \"dups\": {}, \"reorders\": {}, \"corrupts\": {}, \"outage_drops\": {}}}",
-                if i > 0 { "," } else { "" },
-                l.drops,
-                l.dups,
-                l.reorders,
-                l.corrupts,
-                l.outage_drops,
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -694,56 +612,6 @@ impl Snapshot {
                 .collect(),
         }
     }
-
-    /// Serializes the snapshot as JSON: the stamp time plus every
-    /// non-zero counter, every gauge, and per-histogram running totals.
-    /// Parses back with [`crate::json`] — the export tests round-trip it.
-    pub fn to_json(&self) -> String {
-        let mut out = format!("{{\n  \"time\": {},", self.time);
-        out.push_str(&json_levels(&self.counters, &self.gauges));
-        out.push_str(",\n  \"histograms\": {");
-        for (i, &h) in Hist::ALL.iter().enumerate() {
-            out.push_str(&format!(
-                "{}\n    \"{}\": {{\"count\": {}, \"sum\": {}}}",
-                if i > 0 { "," } else { "" },
-                h.name(),
-                self.hist_counts[h as usize],
-                self.hist_sums[h as usize],
-            ));
-        }
-        out.push_str("\n  }\n}\n");
-        out
-    }
-}
-
-/// Shared counter/gauge JSON body for [`Snapshot`] and [`Window`]
-/// exports: non-zero counters (zeroes are noise in a report and the
-/// reader treats a missing key as zero) and every gauge.
-fn json_levels(counters: &[u64], gauges: &[u64]) -> String {
-    let mut out = String::from("\n  \"counters\": {");
-    let mut first = true;
-    for &c in Ctr::ALL {
-        let v = counters[c as usize];
-        if v == 0 {
-            continue;
-        }
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!("\n    \"{}\": {v}", c.name()));
-    }
-    out.push_str("\n  },\n  \"gauges\": {");
-    for (i, &g) in Gauge::ALL.iter().enumerate() {
-        out.push_str(&format!(
-            "{}\n    \"{}\": {}",
-            if i > 0 { "," } else { "" },
-            g.name(),
-            gauges[g as usize]
-        ));
-    }
-    out.push_str("\n  }");
-    out
 }
 
 /// One sim-time telemetry window: counter/histogram deltas between two
@@ -864,44 +732,6 @@ impl Window {
     /// `None` if nothing was enqueued.
     pub fn mean_ring_depth(&self) -> Option<f64> {
         self.hist_mean(Hist::RingDepth)
-    }
-
-    /// Serializes the window as JSON: the bounds, every non-zero counter
-    /// delta, the gauge levels at the window's end, per-histogram slice
-    /// totals, and the derived rates the dashboards print (null where a
-    /// rate has no denominator). Parses back with [`crate::json`].
-    pub fn to_json(&self) -> String {
-        fn opt(v: Option<f64>) -> String {
-            v.map_or("null".into(), |x| format!("{x:.6}"))
-        }
-        let mut out = format!(
-            "{{\n  \"start\": {},\n  \"end\": {},\n  \"duration_ns\": {},",
-            self.start,
-            self.end,
-            self.duration()
-        );
-        out.push_str(&json_levels(&self.counters, &self.gauges));
-        out.push_str(",\n  \"histograms\": {");
-        for (i, &h) in Hist::ALL.iter().enumerate() {
-            let (n, sum) = self.hist_delta(h);
-            out.push_str(&format!(
-                "{}\n    \"{}\": {{\"count\": {n}, \"sum\": {sum}}}",
-                if i > 0 { "," } else { "" },
-                h.name(),
-            ));
-        }
-        out.push_str(&format!(
-            "\n  }},\n  \"rates\": {{\n    \"rx_pps\": {:.3},\n    \"tx_pps\": {:.3},\n    \"rexmit_per_sec\": {:.3},\n    \"rexmit_share\": {},\n    \"flow_hit_rate\": {},\n    \"listen_hit_rate\": {},\n    \"keyed_hit_rate\": {},\n    \"mean_ring_depth\": {}\n  }}\n}}\n",
-            self.rx_pps(),
-            self.tx_pps(),
-            self.rexmit_per_sec(),
-            opt(self.rexmit_share()),
-            opt(self.flow_hit_rate()),
-            opt(self.listen_hit_rate()),
-            opt(self.keyed_hit_rate()),
-            opt(self.mean_ring_depth()),
-        ));
-        out
     }
 }
 
@@ -1109,6 +939,8 @@ mod tests {
         assert_eq!(w.rexmit_per_sec(), 5.0);
         assert_eq!(w.rexmit_share(), Some(0.1));
         assert_eq!(w.flow_hit_rate(), Some(0.9));
+        assert_eq!(w.listen_hit_rate(), Some(0.0));
+        assert_eq!(w.keyed_hit_rate(), Some(0.9));
         assert_eq!(w.mean_ring_depth(), Some(3.0));
         assert_eq!(w.gauge(Gauge::ActiveConnections), 1);
 
@@ -1121,6 +953,7 @@ mod tests {
         assert_eq!(w2.rx_pps(), 10.0);
         assert_eq!(w2.rexmit_share(), None, "nothing sent this window");
         assert_eq!(w2.flow_hit_rate(), None);
+        assert_eq!(w2.keyed_hit_rate(), None);
         assert_eq!(w2.mean_ring_depth(), None);
         // Windows compose: (s0 -> s2) equals the sum of the two slices.
         let total = s2.window_since(&s0);
@@ -1161,109 +994,5 @@ mod tests {
 
         m.channel(1, 7).delivered += 9;
         assert_eq!(m.channels().next().unwrap().1.delivered, 9);
-    }
-
-    #[test]
-    fn snapshot_and_window_json_round_trip() {
-        use crate::json::{parse, Value};
-
-        let mut m = Metrics::new();
-        m.add(Ctr::FramesReceived, 120);
-        m.add(Ctr::FramesSent, 60);
-        m.add(Ctr::TcpRexmitSegs, 6);
-        m.add(Ctr::ChFlowHits, 80);
-        m.add(Ctr::ChListenHits, 10);
-        m.add(Ctr::ChScanFallbacks, 10);
-        m.gauge_set(Gauge::ActiveConnections, 42);
-        m.sample(Hist::RingDepth, 3);
-        m.sample(Hist::RingDepth, 5);
-        let s0 = Metrics::new().snapshot(0);
-        let s1 = m.snapshot(2_000_000_000);
-
-        // Snapshot: every exported value parses back to its accessor.
-        let sj = parse(&s1.to_json()).expect("snapshot JSON parses");
-        assert_eq!(sj.get("time").and_then(Value::as_u64), Some(2_000_000_000));
-        let ctrs = sj.get("counters").unwrap();
-        assert_eq!(
-            ctrs.get("frames_received").and_then(Value::as_u64),
-            Some(s1.get(Ctr::FramesReceived))
-        );
-        assert_eq!(ctrs.get("app_crashes"), None, "zero counters are omitted");
-        assert_eq!(
-            sj.get("gauges")
-                .unwrap()
-                .get("active_connections")
-                .and_then(Value::as_u64),
-            Some(s1.gauge(Gauge::ActiveConnections))
-        );
-        let rd = sj.get("histograms").unwrap().get("ring_depth").unwrap();
-        assert_eq!(rd.get("count").and_then(Value::as_u64), Some(2));
-        assert_eq!(rd.get("sum").and_then(Value::as_u64), Some(8));
-
-        // Window: deltas, slice totals, and every derived rate agree with
-        // the accessors they were rendered from.
-        let w = s1.window_since(&s0);
-        let wj = parse(&w.to_json()).expect("window JSON parses");
-        assert_eq!(
-            wj.get("duration_ns").and_then(Value::as_u64),
-            Some(w.duration())
-        );
-        assert_eq!(
-            wj.get("counters")
-                .unwrap()
-                .get("tcp_rexmit_segs")
-                .and_then(Value::as_u64),
-            Some(w.delta(Ctr::TcpRexmitSegs))
-        );
-        let rates = wj.get("rates").unwrap();
-        assert_eq!(rates.get("rx_pps").and_then(Value::as_f64), Some(60.0));
-        assert_eq!(rates.get("tx_pps").and_then(Value::as_f64), Some(30.0));
-        let keyed = rates.get("keyed_hit_rate").and_then(Value::as_f64).unwrap();
-        assert!((keyed - w.keyed_hit_rate().unwrap()).abs() < 1e-6);
-        assert_eq!(
-            wj.get("gauges")
-                .unwrap()
-                .get("active_connections")
-                .and_then(Value::as_u64),
-            Some(w.gauge(Gauge::ActiveConnections))
-        );
-        assert_eq!(
-            rates.get("mean_ring_depth").and_then(Value::as_f64),
-            Some(4.0)
-        );
-
-        // A window with no traffic renders its denominator-less rates as
-        // null, and still parses.
-        let empty = s0.window_since(&s0);
-        let ej = parse(&empty.to_json()).expect("empty window JSON parses");
-        assert_eq!(
-            ej.get("rates").unwrap().get("rexmit_share"),
-            Some(&Value::Null)
-        );
-        assert_eq!(
-            ej.get("counters").and_then(Value::entries).map(<[_]>::len),
-            Some(0)
-        );
-    }
-
-    #[test]
-    fn metrics_json_is_shaped() {
-        let mut m = Metrics::new();
-        m.bump(Ctr::FramesSent);
-        m.sample(Hist::AppDeliverBytes, 4096);
-        m.conn(ConnKey {
-            host: 0,
-            local_port: 2000,
-            remote_ip: [10, 0, 0, 2],
-            remote_port: 80,
-        })
-        .segs_out = 7;
-        m.link(0, 1).drops = 2;
-        let j = m.to_json();
-        assert!(j.contains("\"frames_sent\": 1"));
-        assert!(j.contains("\"app_deliver_bytes\""));
-        assert!(j.contains("\"segs_out\": 7"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
     }
 }

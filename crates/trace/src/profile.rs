@@ -525,60 +525,6 @@ impl Profile {
         }
         out
     }
-
-    /// Serializes the profile as JSON (hand-rolled; workspace is
-    /// dependency-free): outcome counts, per-stage component summaries
-    /// over delivered frames, the end-to-end distribution, and per-channel
-    /// roll-ups.
-    pub fn to_json(&self) -> String {
-        fn hist_json(h: &Histogram) -> String {
-            format!(
-                "{{\"count\": {}, \"mean\": {:.1}, \"p50\": {}, \"p99\": {}, \"min\": {}, \"max\": {}}}",
-                h.count(),
-                h.mean().unwrap_or(0.0),
-                h.quantile(0.5).unwrap_or(0),
-                h.quantile(0.99).unwrap_or(0),
-                h.min().unwrap_or(0),
-                h.max().unwrap_or(0),
-            )
-        }
-        let mut out = String::from("{\n  \"outcomes\": {");
-        for (i, &o) in PathOutcome::ALL.iter().enumerate() {
-            out.push_str(&format!(
-                "{}\n    \"{}\": {}",
-                if i > 0 { "," } else { "" },
-                o.label(),
-                self.outcome_count(o)
-            ));
-        }
-        out.push_str("\n  },\n  \"stages\": {");
-        let mut first = true;
-        for &s in Stage::ALL.iter().skip(1) {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "\n    \"{}\": {}",
-                s.label(),
-                hist_json(&self.stages[s as usize])
-            ));
-        }
-        out.push_str(&format!(
-            "\n  }},\n  \"end_to_end\": {},\n  \"channels\": [",
-            hist_json(&self.end_to_end)
-        ));
-        for (i, ((host, id), ch)) in self.channels.iter().enumerate() {
-            out.push_str(&format!(
-                "{}\n    {{\"host\": {host}, \"channel\": {id}, \"frames\": {}, \"end_to_end\": {}}}",
-                if i > 0 { "," } else { "" },
-                ch.frames,
-                hist_json(&ch.end_to_end),
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -810,24 +756,5 @@ mod tests {
         assert_eq!(p.delivered(), 0);
         assert_eq!(p.traces[0].end_to_end(), Some(40));
         p.check_consistency().unwrap();
-    }
-
-    #[test]
-    fn profile_json_is_shaped() {
-        let recs = vec![
-            nic_rx(100, 0),
-            classify(130, 0),
-            enqueue(150, 0, true),
-            wakeup(190, 1),
-            tcp_rx(240, 0),
-            deliver(300, 0),
-        ];
-        let p = Profile::build(&recs);
-        let j = p.to_json();
-        assert!(j.contains("\"delivered\": 1"));
-        assert!(j.contains("\"demux_classify\""));
-        assert!(j.contains("\"end_to_end\""));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
     }
 }
